@@ -5,18 +5,8 @@
 // Usage:
 //
 //	simd -addr :8080 -cache /var/cache/simd -workers 8 [-traces DIR]
-//	simd -addr :8080 -self http://a:8080 -peers http://a:8080,http://b:8080 \
-//	     -peer-token SECRET
 //
-// With -peers, the node joins a consistent-hash ring over the result-cache
-// key space: each key has an owner peer, local misses try the owner (with
-// per-peer circuit breakers, bounded retries and a hedged read to the next
-// replica) before simulating, and locally simulated results are offered to
-// their owner. Every node must be started with the same -peers set and the
-// same -peer-token (or $SIMD_PEER_TOKEN), the shared secret that gates the
-// cluster-internal endpoints. All peer failures degrade down the ladder
-// (peer → local cache → local simulation); a fully partitioned node
-// behaves exactly like a single-node simd.
+// Processes on one host share results through a common -cache directory.
 //
 // Endpoints:
 //
@@ -24,14 +14,9 @@
 //	POST /v1/sensitivity       fan out a perturbation plan to a ranked
 //	                           sensitivity report (?stream=1 for NDJSON
 //	                           progress); see internal/sensitivity
-//	GET  /v1/peer/result/{key} ring members only: serve a cached entry to a peer
-//	PUT  /v1/peer/result/{key} ring members only: accept a verified fill
 //	GET  /healthz              liveness
 //	GET  /metrics              Prometheus text metrics
 //	GET  /debug/pprof/         runtime profiles
-//
-// The /v1/peer routes are registered only when -peers is set, and require
-// the ring's bearer token; a single-node simd exposes no peer surface.
 //
 // SIGINT/SIGTERM starts a graceful drain: the listener stops accepting,
 // in-flight requests get -drain to finish, then running simulations are
@@ -47,11 +32,9 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
-	"perfstacks/internal/cluster"
 	"perfstacks/internal/service"
 )
 
@@ -65,14 +48,6 @@ func main() {
 	traces := flag.String("traces", "", "directory served for trace_path requests (empty = generator workloads only)")
 	plans := flag.Int("plans", 0, "concurrent sensitivity plans admitted (0 = 2); further plans are shed with 429")
 	drain := flag.Duration("drain", 30*time.Second, "graceful shutdown budget before in-flight requests are dropped")
-	peers := flag.String("peers", "", "comma-separated base URLs of every ring member including this node (empty = single-node)")
-	self := flag.String("self", "", "this node's own base URL within -peers (required with -peers)")
-	peerTimeout := flag.Duration("peer-timeout", 2*time.Second, "per-attempt deadline for one peer exchange")
-	peerRetries := flag.Int("peer-retries", 1, "retries per peer fetch after the first attempt (0 disables retries)")
-	peerToken := flag.String("peer-token", "", "shared secret gating the cluster-internal /v1/peer endpoints; required with -peers (falls back to $SIMD_PEER_TOKEN)")
-	peerHedge := flag.Duration("peer-hedge", 50*time.Millisecond, "delay before a hedged read to the next replica (<0 disables)")
-	breakerFails := flag.Int("peer-breaker-failures", 3, "consecutive failures that open a peer's circuit breaker")
-	breakerWindow := flag.Duration("peer-breaker-window", 5*time.Second, "how long an open breaker fails fast before probing")
 	flag.Parse()
 
 	logger := log.New(os.Stderr, "simd: ", log.LstdFlags)
@@ -85,38 +60,6 @@ func main() {
 		MaxPlans:      *plans,
 		TraceDir:      *traces,
 		Log:           logger,
-	}
-	if *peers != "" {
-		list := strings.Split(*peers, ",")
-		for i := range list {
-			list[i] = strings.TrimRight(strings.TrimSpace(list[i]), "/")
-		}
-		token := *peerToken
-		if token == "" {
-			token = os.Getenv("SIMD_PEER_TOKEN")
-		}
-		if token == "" {
-			logger.Fatal("-peers requires -peer-token (or $SIMD_PEER_TOKEN): the peer fill endpoints must not be open to arbitrary clients")
-		}
-		retries := *peerRetries
-		if retries == 0 {
-			// The flag default is 1, so an explicit 0 means "no retries";
-			// cluster.Config spells that as its negative sentinel (0 there
-			// means "unset → default").
-			retries = -1
-		}
-		cfg.Cluster = &cluster.Config{
-			Peers:          list,
-			Self:           strings.TrimRight(strings.TrimSpace(*self), "/"),
-			AuthToken:      token,
-			AttemptTimeout: *peerTimeout,
-			Retries:        retries,
-			HedgeDelay:     *peerHedge,
-			Breaker: cluster.BreakerConfig{
-				FailureThreshold: *breakerFails,
-				OpenWindow:       *breakerWindow,
-			},
-		}
 	}
 	if err := run(*addr, cfg, *drain, logger); err != nil {
 		logger.Fatal(err)

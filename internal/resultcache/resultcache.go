@@ -123,17 +123,6 @@ func (c *Cache) Get(k Key) ([]byte, bool) {
 	return nil, false
 }
 
-// PromoteMem stores payload in the memory tier only. The cluster layer
-// uses it for peer-fetched entries: the ring owner keeps the durable copy,
-// so the fetching node caches the hot bytes without duplicating them onto
-// its disk.
-func (c *Cache) PromoteMem(k Key, payload []byte) {
-	if c == nil || c.mem == nil {
-		return
-	}
-	c.mem.Put(k, payload)
-}
-
 // Put stores payload under k in every configured tier. Disk write failures
 // are returned but leave the memory tier populated — a full disk degrades
 // the cache, it does not fail the simulation that produced the payload.

@@ -21,7 +21,6 @@ const ReportSchemaVersion = "sensitivity-report-v1"
 const (
 	SourceSim       = "sim"       // simulated locally for this plan
 	SourceCache     = "cache"     // served from the local result cache
-	SourcePeer      = "peer"      // fetched from the owning ring peer
 	SourceCoalesced = "coalesced" // rode another request's in-flight production
 )
 
@@ -82,6 +81,9 @@ type Summary struct {
 	Cells     int `json:"cells"`
 	Simulated int `json:"simulated"`
 	FromCache int `json:"from_cache"`
+	// FromPeer is always 0. It stays in the wire shape (and as the
+	// "%d peer" count of RenderText) so report bytes, and with them the
+	// sensitivity-report-v1 plan keys, do not change.
 	FromPeer  int `json:"from_peer"`
 	Coalesced int `json:"coalesced"`
 }
@@ -145,8 +147,6 @@ func BuildReport(p *Plan, outcomes []CellOutcome) (*Report, error) {
 		switch o.Source {
 		case SourceCache:
 			r.Summary.FromCache++
-		case SourcePeer:
-			r.Summary.FromPeer++
 		case SourceCoalesced:
 			r.Summary.Coalesced++
 		default:

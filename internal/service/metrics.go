@@ -41,17 +41,10 @@ type metrics struct {
 	planReportHits  atomic.Uint64 // plans served whole from the report cache
 	cellsSim        atomic.Uint64 // plan cells that simulated locally
 	cellsCache      atomic.Uint64 // plan cells served from the result cache
-	cellsPeer       atomic.Uint64 // plan cells served by a ring peer
 	cellsCoalesced  atomic.Uint64 // plan cells that rode another flight
 	planBucketSlots []atomic.Uint64
 	planSum         atomic.Uint64 // microseconds
 	planCount       atomic.Uint64
-
-	peerServes        atomic.Uint64 // peer GETs served from the local cache
-	peerServeMisses   atomic.Uint64 // peer GETs answered 404
-	peerFills         atomic.Uint64 // peer PUTs verified and stored
-	peerFillsRejected atomic.Uint64 // peer PUTs rejected by verification
-	peerAuthRejected  atomic.Uint64 // peer requests without the ring token
 
 	queueDepth atomic.Int64 // runner pool queue gauge
 	active     atomic.Int64 // runner pool active-jobs gauge
@@ -94,8 +87,6 @@ func (m *metrics) cellSource(source string) {
 	switch source {
 	case "cache":
 		m.cellsCache.Add(1)
-	case "peer":
-		m.cellsPeer.Add(1)
 	case "coalesced":
 		m.cellsCoalesced.Add(1)
 	default:
@@ -173,9 +164,6 @@ func (s *Server) serveMetrics(w http.ResponseWriter, r *http.Request) {
 	if m.sensitivityActive() {
 		s.serveSensitivityMetrics(w)
 	}
-	if s.cluster != nil {
-		s.servePeerMetrics(w)
-	}
 
 	fmt.Fprintf(w, "# HELP simd_queue_depth Jobs admitted but not yet running.\n")
 	fmt.Fprintf(w, "# TYPE simd_queue_depth gauge\n")
@@ -207,7 +195,6 @@ func (s *Server) serveSensitivityMetrics(w http.ResponseWriter) {
 	fmt.Fprintf(w, "# TYPE simd_sensitivity_cells_total counter\n")
 	fmt.Fprintf(w, "simd_sensitivity_cells_total{source=\"sim\"} %d\n", m.cellsSim.Load())
 	fmt.Fprintf(w, "simd_sensitivity_cells_total{source=\"cache\"} %d\n", m.cellsCache.Load())
-	fmt.Fprintf(w, "simd_sensitivity_cells_total{source=\"peer\"} %d\n", m.cellsPeer.Load())
 	fmt.Fprintf(w, "simd_sensitivity_cells_total{source=\"coalesced\"} %d\n", m.cellsCoalesced.Load())
 	fmt.Fprintf(w, "# HELP simd_sensitivity_plan_seconds Completed-plan wall time.\n")
 	fmt.Fprintf(w, "# TYPE simd_sensitivity_plan_seconds histogram\n")
@@ -220,57 +207,4 @@ func (s *Server) serveSensitivityMetrics(w http.ResponseWriter) {
 	fmt.Fprintf(w, "simd_sensitivity_plan_seconds_bucket{le=\"+Inf\"} %d\n", cum)
 	fmt.Fprintf(w, "simd_sensitivity_plan_seconds_sum %g\n", float64(m.planSum.Load())/1e6)
 	fmt.Fprintf(w, "simd_sensitivity_plan_seconds_count %d\n", m.planCount.Load())
-}
-
-// servePeerMetrics renders the cluster section: ladder outcomes, the
-// served side of the peer protocol, and per-peer fetch counters plus
-// breaker state (0=closed, 1=open, 2=half-open). Only emitted when the
-// node is clustered, so a single-node /metrics page is byte-compatible
-// with the pre-cluster exposition.
-func (s *Server) servePeerMetrics(w http.ResponseWriter) {
-	m := s.metrics
-	cs := &s.cluster.Stats
-	fmt.Fprintf(w, "# HELP simd_peer_fetch_total Peer-rung ladder outcomes for local misses this node does not own.\n")
-	fmt.Fprintf(w, "# TYPE simd_peer_fetch_total counter\n")
-	fmt.Fprintf(w, "simd_peer_fetch_total{outcome=\"hit\"} %d\n", cs.Hits.Load())
-	fmt.Fprintf(w, "simd_peer_fetch_total{outcome=\"miss\"} %d\n", cs.Misses.Load())
-	fmt.Fprintf(w, "simd_peer_fetch_total{outcome=\"degraded\"} %d\n", cs.Degrades.Load())
-	fmt.Fprintf(w, "# HELP simd_peer_hedges_total Hedged second reads launched (and won).\n")
-	fmt.Fprintf(w, "# TYPE simd_peer_hedges_total counter\n")
-	fmt.Fprintf(w, "simd_peer_hedges_total{result=\"launched\"} %d\n", cs.Hedges.Load())
-	fmt.Fprintf(w, "simd_peer_hedges_total{result=\"won\"} %d\n", cs.HedgeWins.Load())
-	fmt.Fprintf(w, "# HELP simd_peer_offers_total Locally simulated results pushed to their ring owner.\n")
-	fmt.Fprintf(w, "# TYPE simd_peer_offers_total counter\n")
-	fmt.Fprintf(w, "simd_peer_offers_total{result=\"ok\"} %d\n", cs.Offers.Load())
-	fmt.Fprintf(w, "simd_peer_offers_total{result=\"error\"} %d\n", cs.OfferErrors.Load())
-
-	fmt.Fprintf(w, "# HELP simd_peer_served_total Peer protocol requests served by this node.\n")
-	fmt.Fprintf(w, "# TYPE simd_peer_served_total counter\n")
-	fmt.Fprintf(w, "simd_peer_served_total{kind=\"get_hit\"} %d\n", m.peerServes.Load())
-	fmt.Fprintf(w, "simd_peer_served_total{kind=\"get_miss\"} %d\n", m.peerServeMisses.Load())
-	fmt.Fprintf(w, "simd_peer_served_total{kind=\"fill\"} %d\n", m.peerFills.Load())
-	fmt.Fprintf(w, "simd_peer_served_total{kind=\"fill_rejected\"} %d\n", m.peerFillsRejected.Load())
-	fmt.Fprintf(w, "simd_peer_served_total{kind=\"auth_rejected\"} %d\n", m.peerAuthRejected.Load())
-
-	fmt.Fprintf(w, "# HELP simd_peer_breaker_state Per-peer circuit breaker state (0=closed, 1=open, 2=half-open).\n")
-	fmt.Fprintf(w, "# TYPE simd_peer_breaker_state gauge\n")
-	for _, p := range s.cluster.PeerStores() {
-		fmt.Fprintf(w, "simd_peer_breaker_state{peer=%q} %d\n", p.Addr(), p.Breaker().State())
-	}
-	fmt.Fprintf(w, "# HELP simd_peer_breaker_opens_total Per-peer breaker trips to open.\n")
-	fmt.Fprintf(w, "# TYPE simd_peer_breaker_opens_total counter\n")
-	for _, p := range s.cluster.PeerStores() {
-		fmt.Fprintf(w, "simd_peer_breaker_opens_total{peer=%q} %d\n", p.Addr(), p.Breaker().Opens())
-	}
-	fmt.Fprintf(w, "# HELP simd_peer_requests_total Per-peer exchange outcomes from this node's client side.\n")
-	fmt.Fprintf(w, "# TYPE simd_peer_requests_total counter\n")
-	for _, p := range s.cluster.PeerStores() {
-		st := &p.Stats
-		fmt.Fprintf(w, "simd_peer_requests_total{peer=%q,outcome=\"hit\"} %d\n", p.Addr(), st.Hits.Load())
-		fmt.Fprintf(w, "simd_peer_requests_total{peer=%q,outcome=\"miss\"} %d\n", p.Addr(), st.Misses.Load())
-		fmt.Fprintf(w, "simd_peer_requests_total{peer=%q,outcome=\"error\"} %d\n", p.Addr(), st.Errors.Load())
-		fmt.Fprintf(w, "simd_peer_requests_total{peer=%q,outcome=\"corrupt\"} %d\n", p.Addr(), st.Corrupt.Load())
-		fmt.Fprintf(w, "simd_peer_requests_total{peer=%q,outcome=\"rejected\"} %d\n", p.Addr(), st.Rejected.Load())
-		fmt.Fprintf(w, "simd_peer_requests_total{peer=%q,outcome=\"fill\"} %d\n", p.Addr(), st.Fills.Load())
-	}
 }

@@ -112,11 +112,6 @@ type plan struct {
 	// the per-thread readers and mkReader is unused.
 	smpCores int
 	mkSMP    func(tid int) trace.Reader
-	// via records how the flight leader's produce resolved ("peer" when a
-	// ring replica served the payload; "" means a local simulation).
-	// Written inside the flight, read by the leader after the flight's
-	// done channel closes.
-	via string
 	// wait admits the job with SubmitWait (block for a pool slot) instead
 	// of Submit (shed when saturated). Sensitivity plan cells set it: plan
 	// admission already happened at the plan level, so a cell queues

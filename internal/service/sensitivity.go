@@ -215,11 +215,10 @@ func (s *Server) producePlan(ctx context.Context, sp *sensPlan, onCell func(sens
 }
 
 // runPlanCell satisfies one plan cell through the same ladder as a
-// /v1/simulate request: local cache, then cell-level singleflight into
-// produce (peer rung and all). The one difference is admission — a cell
-// waits for a pool slot (plan admission already happened at the plan
-// level) instead of being shed, so a plan saturates the pool politely
-// rather than failing halfway.
+// /v1/simulate request: cache, then cell-level singleflight into produce.
+// The one difference is admission — a cell waits for a pool slot (plan
+// admission already happened at the plan level) instead of being shed, so
+// a plan saturates the pool politely rather than failing halfway.
 func (s *Server) runPlanCell(ctx context.Context, p *sensitivity.Plan, cell sensitivity.Cell) (sensitivity.CellOutcome, error) {
 	key, err := resultcache.SimKey(cell.Machine, p.Profile, p.Uops, p.Opts)
 	if err != nil {
@@ -253,11 +252,8 @@ func (s *Server) runPlanCell(ctx context.Context, p *sensitivity.Plan, cell sens
 		return sensitivity.CellOutcome{}, err
 	}
 	source := sensitivity.SourceSim
-	switch {
-	case !leader:
+	if !leader {
 		source = sensitivity.SourceCoalesced
-	case cp.via == "peer":
-		source = sensitivity.SourcePeer
 	}
 	s.metrics.cellSource(source)
 	return sensitivity.CellOutcome{Result: res, Source: source}, nil

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -304,23 +305,72 @@ func TestSensitivityPlanShedding(t *testing.T) {
 	<-planDone
 }
 
-// TestSensitivityMetricsGating: a server that never saw a sensitivity
-// request exposes no sensitivity series — the single-node /metrics page
-// stays byte-compatible — and the section appears once one arrives.
+// metricsLayout scrapes /metrics and returns its "# TYPE" lines (family
+// and type, in exposition order) and the source labels of
+// simd_sensitivity_cells_total, in order.
+func metricsLayout(t *testing.T, ts *httptest.Server) (families, sources []string) {
+	t.Helper()
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(string(readAll(t, resp)), "\n") {
+		if f, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			families = append(families, f)
+		}
+		if rest, ok := strings.CutPrefix(line, `simd_sensitivity_cells_total{source="`); ok {
+			sources = append(sources, rest[:strings.IndexByte(rest, '"')])
+		}
+	}
+	return families, sources
+}
+
+// TestSensitivityMetricsGating pins the /metrics page layout: a server
+// that never saw a sensitivity request exposes exactly the base families
+// and no sensitivity series, and one plan inserts exactly the sensitivity
+// section, with one cell counter per result source.
 func TestSensitivityMetricsGating(t *testing.T) {
 	_, ts := newTestServer(t, Config{}, nil)
 	resp := post(t, ts, simulateBody(t, ""))
 	readAll(t, resp)
 
-	mresp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
+	head := []string{
+		"simd_requests_total counter",
+		"simd_request_seconds histogram",
+		"simd_cache_hits_total counter",
+		"simd_cache_misses_total counter",
+		"simd_cache_corrupt_total counter",
+		"simd_cache_stores_total counter",
+		"simd_sims_total counter",
+		"simd_shed_total counter",
+		"simd_canceled_total counter",
+		"simd_coalesced_total counter",
 	}
-	if body := string(readAll(t, mresp)); strings.Contains(body, "simd_sensitivity") {
-		t.Fatalf("sensitivity series exposed before any plan:\n%s", body)
+	sens := []string{
+		"simd_sensitivity_plans_total counter",
+		"simd_sensitivity_cells_total counter",
+		"simd_sensitivity_plan_seconds histogram",
+	}
+	tail := []string{
+		"simd_queue_depth gauge",
+		"simd_active_jobs gauge",
+		"simd_inflight_keys gauge",
+	}
+	families, sources := metricsLayout(t, ts)
+	if want := slices.Concat(head, tail); !slices.Equal(families, want) {
+		t.Fatalf("families before any plan:\n got %q\nwant %q", families, want)
+	}
+	if len(sources) != 0 {
+		t.Fatalf("cell sources exposed before any plan: %q", sources)
 	}
 
 	readAll(t, postSensitivity(t, ts, sensitivityBody(""), ""))
-	waitForMetric(t, ts, `simd_sensitivity_cells_total{source="sim"}`)
-	waitForMetric(t, ts, "# TYPE simd_sensitivity_plan_seconds histogram")
+	waitForMetric(t, ts, `simd_sensitivity_plans_total{event="completed"} 1`)
+	families, sources = metricsLayout(t, ts)
+	if want := slices.Concat(head, sens, tail); !slices.Equal(families, want) {
+		t.Fatalf("families after one plan:\n got %q\nwant %q", families, want)
+	}
+	if want := []string{"sim", "cache", "coalesced"}; !slices.Equal(sources, want) {
+		t.Fatalf("cell sources after one plan: got %q, want %q", sources, want)
+	}
 }

@@ -11,7 +11,6 @@ import (
 	"strconv"
 	"time"
 
-	"perfstacks/internal/cluster"
 	"perfstacks/internal/config"
 	"perfstacks/internal/export"
 	"perfstacks/internal/resultcache"
@@ -39,12 +38,6 @@ type Config struct {
 	MaxPlans int
 	// TraceDir roots trace_path lookups ("" disables file traces).
 	TraceDir string
-	// Cluster, when non-nil, joins this node to a consistent-hash ring of
-	// simd peers: result keys have owners, local misses try the owner (and
-	// a hedged replica) before cold simulation, and locally simulated
-	// results are offered to their owner. Nil keeps the node byte-for-byte
-	// single-node.
-	Cluster *cluster.Config
 	// Log receives operational messages (nil = log.Default).
 	Log *log.Logger
 }
@@ -58,16 +51,14 @@ type Config struct {
 // of identical requests occupies one queue slot, so saturation sheds only
 // genuinely distinct work.
 type Server struct {
-	cache     *resultcache.Cache
-	group     *resultcache.Group
-	pool      *runner.Pool
-	planSem   chan struct{} // sensitivity plan admission slots
-	cluster   *cluster.Cluster
-	peerToken string // the ring's shared bearer token (set iff clustered)
-	traceDir  string
-	metrics   *metrics
-	logf      func(format string, args ...any)
-	workers   int
+	cache    *resultcache.Cache
+	group    *resultcache.Group
+	pool     *runner.Pool
+	planSem  chan struct{} // sensitivity plan admission slots
+	traceDir string
+	metrics  *metrics
+	logf     func(format string, args ...any)
+	workers  int
 
 	// runSim is the simulation entry point; tests swap it to count and
 	// block simulations without burning CPU. runSMP is its gang-request
@@ -109,14 +100,6 @@ func New(base context.Context, cfg Config) (*Server, error) {
 		maxPlans = 2
 	}
 	s.planSem = make(chan struct{}, maxPlans)
-	if cfg.Cluster != nil {
-		cl, err := cluster.New(*cfg.Cluster)
-		if err != nil {
-			return nil, err
-		}
-		s.cluster = cl
-		s.peerToken = cfg.Cluster.AuthToken
-	}
 	s.pool = runner.NewPool(runner.PoolOptions{
 		Workers:    cfg.Workers,
 		QueueDepth: cfg.QueueDepth,
@@ -140,14 +123,6 @@ func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/simulate", s.handleSimulate)
 	mux.HandleFunc("POST /v1/sensitivity", s.handleSensitivity)
-	if s.cluster != nil {
-		// The peer-transfer surface exists only on ring members: a
-		// single-node simd must expose exactly the pre-cluster routes (no
-		// unauthenticated cache-write endpoint on a node that never asked
-		// to be clustered).
-		mux.HandleFunc("GET /v1/peer/result/{key}", s.requirePeerAuth(s.handlePeerGet))
-		mux.HandleFunc("PUT /v1/peer/result/{key}", s.requirePeerAuth(s.handlePeerPut))
-	}
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /metrics", s.serveMetrics)
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -205,14 +180,7 @@ func (s *Server) simulate(w http.ResponseWriter, r *http.Request) (int, error) {
 	}
 	switch {
 	case err == nil:
-		// The leader's plan records how its flight resolved ("peer" when a
-		// ring replica served the bytes); coalesced waiters rode a flight
-		// whose plan is not theirs and report the generic "miss".
-		via := "miss"
-		if leader && p.via != "" {
-			via = p.via
-		}
-		s.writeResult(w, p.key, payload, via)
+		s.writeResult(w, p.key, payload, "miss")
 		return http.StatusOK, nil
 	case errors.Is(err, runner.ErrSaturated), errors.Is(err, runner.ErrPoolClosed):
 		s.metrics.shed.Add(1)
@@ -237,32 +205,11 @@ func (s *Server) simulate(w http.ResponseWriter, r *http.Request) (int, error) {
 	}
 }
 
-// produce resolves one local cache miss down the degradation ladder: the
-// ring owner (hedged to the next replica) when this node is not the key's
-// authority, then local cold simulation. It executes inside the
-// singleflight (at most once per key at a time) under ctx, which ends when
-// the last interested client disconnects or the server drains.
-//
-// The peer rung runs before pool admission on purpose: a fetch costs
-// network waiting, not CPU, so it must not occupy a simulation slot — and
-// a saturated pool can still serve peer hits.
+// produce resolves one cache miss by simulating it and storing the result.
+// It executes inside the singleflight (at most once per key at a time)
+// under ctx, which ends when the last interested client disconnects or the
+// server drains.
 func (s *Server) produce(ctx context.Context, p *plan) ([]byte, error) {
-	ownsSelf := false
-	if s.cluster != nil {
-		ownsSelf = s.cluster.OwnsSelf(p.key)
-		if !ownsSelf {
-			payload, outcome := s.cluster.Fetch(ctx, p.key)
-			if outcome == cluster.FetchHit {
-				// Promote into the local memory tier only: the owner holds
-				// the durable copy, this node holds the hot one.
-				s.cache.PromoteMem(p.key, payload)
-				p.via = "peer"
-				return payload, nil
-			}
-			// Miss or degraded: fall through to the local rungs. The
-			// distinction is already counted in cluster.Stats.
-		}
-	}
 	var payload []byte
 	job := func(jctx context.Context) error {
 		opts := p.opts
@@ -305,14 +252,6 @@ func (s *Server) produce(ctx context.Context, p *plan) ([]byte, error) {
 	}
 	if err := <-done; err != nil {
 		return nil, err
-	}
-	if s.cluster != nil && !ownsSelf {
-		// This node simulated a key it does not own (cold entry plus a
-		// dead, slow or empty owner): push the result to the owner so the
-		// cluster's authority converges. Synchronous but bounded by the
-		// peer attempt deadline, best-effort by contract — a failed offer
-		// costs a counter, never the response.
-		s.cluster.Offer(ctx, p.key, payload)
 	}
 	return payload, nil
 }

@@ -702,6 +702,66 @@ func TestConcurrentMixedClients(t *testing.T) {
 	}
 }
 
+// TestNoPeerRoutes: simd exposes no peer-transfer surface. A GET and a
+// PUT to /v1/peer/result/{key} are 404, and a forged body PUT under the
+// key of a request nobody has made yet is never stored: that request is a
+// miss that simulates, and its later hit serves the simulated bytes, not
+// the forged ones.
+func TestNoPeerRoutes(t *testing.T) {
+	s, ts := newTestServer(t, Config{}, nil)
+
+	resp := post(t, ts, simulateBody(t, ""))
+	readAll(t, resp)
+	r, err := http.Get(ts.URL + "/v1/peer/result/" + resp.Header.Get("X-Result-Key"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	readAll(t, r)
+	if r.StatusCode != http.StatusNotFound {
+		t.Fatalf("peer GET: %d, want 404", r.StatusCode)
+	}
+
+	fresh := `{"machine":"BDW","workload":{"profile":"mcf","uops":5001}}`
+	req, err := parseRequest(strings.NewReader(fresh))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := s.resolve(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	forged := []byte(`{"forged":true}`)
+	put, err := http.NewRequest(http.MethodPut, ts.URL+"/v1/peer/result/"+p.key.String(), bytes.NewReader(forged))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr, err := http.DefaultClient.Do(put)
+	if err != nil {
+		t.Fatal(err)
+	}
+	readAll(t, pr)
+	if pr.StatusCode != http.StatusNotFound {
+		t.Fatalf("peer PUT: %d, want 404", pr.StatusCode)
+	}
+	if _, ok := s.cache.Get(p.key); ok {
+		t.Fatal("a peer PUT reached the cache")
+	}
+
+	miss := post(t, ts, fresh)
+	missBody := readAll(t, miss)
+	if got := miss.Header.Get("X-Cache"); got != "miss" {
+		t.Fatalf("fresh request after a forged PUT: X-Cache %q, want miss", got)
+	}
+	hit := post(t, ts, fresh)
+	hitBody := readAll(t, hit)
+	if got := hit.Header.Get("X-Cache"); got != "hit" {
+		t.Fatalf("repeat request: X-Cache %q, want hit", got)
+	}
+	if bytes.Equal(hitBody, forged) || !bytes.Equal(hitBody, missBody) {
+		t.Fatalf("hit served %q, want the simulated bytes", hitBody)
+	}
+}
+
 // TestMetricsExposition sanity-checks the Prometheus text rendering.
 func TestMetricsExposition(t *testing.T) {
 	_, ts := newTestServer(t, Config{}, nil)

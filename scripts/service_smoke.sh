@@ -12,9 +12,6 @@
 #   6. a sensitivity plan (POST /v1/sensitivity): fan-out to a ranked
 #      report, an identical re-post served whole from the report cache, and
 #      a recompute re-post satisfied >=95% from the per-cell tier
-#   7. two live daemons peered over the consistent-hash ring: a result
-#      simulated on one node is served by the other with X-Cache: peer and
-#      zero additional simulations
 # and asserts the /metrics counters account for exactly what happened.
 # Finishes with a SIGTERM and requires a clean drain.
 set -euo pipefail
@@ -22,12 +19,8 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 ADDR="127.0.0.1:${SIMD_SMOKE_PORT:-18561}"
-ADDR_A="127.0.0.1:$(( ${SIMD_SMOKE_PORT:-18561} + 1 ))"
-ADDR_B="127.0.0.1:$(( ${SIMD_SMOKE_PORT:-18561} + 2 ))"
 WORK="$(mktemp -d)"
-trap 'kill "$SIMD_PID" "$PEER_A_PID" "$PEER_B_PID" 2>/dev/null || true; rm -rf "$WORK"' EXIT
-PEER_A_PID=""
-PEER_B_PID=""
+trap 'kill "$SIMD_PID" 2>/dev/null || true; rm -rf "$WORK"' EXIT
 
 echo "== build (race + simdebug)"
 go build -race -tags simdebug -o "$WORK/simd" ./cmd/simd
@@ -127,58 +120,6 @@ fi
 expect_metric 'simd_sensitivity_plans_total{event="completed"}' 2
 expect_metric 'simd_sensitivity_plans_total{event="report_cache_hit"}' 1
 curl -fsS "http://$ADDR/healthz" >/dev/null
-
-echo "== cluster: two peered daemons, cross-peer cache hit"
-PEERS="http://$ADDR_A,http://$ADDR_B"
-PEER_TOKEN="smoke-ring-token"
-"$WORK/simd" -addr "$ADDR_A" -cache "$WORK/cache-a" \
-  -self "http://$ADDR_A" -peers "$PEERS" -peer-token "$PEER_TOKEN" >"$WORK/simd-a.log" 2>&1 &
-PEER_A_PID=$!
-"$WORK/simd" -addr "$ADDR_B" -cache "$WORK/cache-b" \
-  -self "http://$ADDR_B" -peers "$PEERS" -peer-token "$PEER_TOKEN" >"$WORK/simd-b.log" 2>&1 &
-PEER_B_PID=$!
-for NODE in "$ADDR_A" "$ADDR_B"; do
-  for _ in $(seq 1 50); do
-    curl -fsS -o /dev/null "http://$NODE/healthz" 2>/dev/null && break
-    sleep 0.2
-  done
-  curl -fsS "http://$NODE/healthz" >/dev/null
-done
-
-metric_at() {
-  curl -fsS "http://$1/metrics" | awk -v m="$2" '$1 == m {print $2}'
-}
-
-# Ownership is address-dependent: roughly half of all keys are owned by A.
-# Scan until one simulated on A comes back from B as an explicit peer hit
-# (keys owned by B are write-through filled at simulate time and serve as a
-# local "hit" there — also valid, but "peer" is the rung this asserts).
-FOUND=""
-for U in $(seq 40000 40011); do
-  CBODY="{\"machine\":\"BDW\",\"workload\":{\"profile\":\"mcf\",\"uops\":$U}}"
-  curl -fsS -X POST "http://$ADDR_A/v1/simulate" -d "$CBODY" -o "$WORK/ca" >/dev/null
-  curl -fsS -X POST "http://$ADDR_B/v1/simulate" -d "$CBODY" -D "$WORK/chb" -o "$WORK/cb"
-  cmp -s "$WORK/ca" "$WORK/cb" || { echo "FAIL: cross-node bodies differ for uops=$U"; exit 1; }
-  if grep -qi '^X-Cache: peer' "$WORK/chb"; then FOUND="$U"; break; fi
-done
-[ -n "$FOUND" ] || { echo "FAIL: no cross-peer hit in 12 keys"; cat "$WORK/simd-b.log"; exit 1; }
-PEER_HITS="$(metric_at "$ADDR_B" 'simd_peer_fetch_total{outcome="hit"}')"
-[ "${PEER_HITS:-0}" -ge 1 ] || { echo "FAIL: node B peer fetch hits = ${PEER_HITS:-0}"; exit 1; }
-SERVED="$(metric_at "$ADDR_A" 'simd_peer_served_total{kind="get_hit"}')"
-[ "${SERVED:-0}" -ge 1 ] || { echo "FAIL: node A served ${SERVED:-0} peer gets"; exit 1; }
-
-echo "== cluster: peer surface is members-only"
-# A client without the ring token gets 403 from a ring node; the plain
-# single-node daemon has no peer routes at all (404).
-KEYB="$(grep -i '^X-Result-Key:' "$WORK/chb" | awk '{print $2}' | tr -d '\r')"
-CODE="$(curl -s -o /dev/null -w '%{http_code}' "http://$ADDR_A/v1/peer/result/$KEYB")"
-[ "$CODE" = 403 ] || { echo "FAIL: unauthenticated peer GET got $CODE, want 403"; exit 1; }
-CODE="$(curl -s -o /dev/null -w '%{http_code}' "http://$ADDR/v1/peer/result/$KEYB")"
-[ "$CODE" = 404 ] || { echo "FAIL: single-node peer GET got $CODE, want 404 (route absent)"; exit 1; }
-kill -TERM "$PEER_A_PID" "$PEER_B_PID"
-wait "$PEER_A_PID" "$PEER_B_PID" 2>/dev/null || true
-PEER_A_PID=""
-PEER_B_PID=""
 
 echo "== graceful drain"
 kill -TERM "$SIMD_PID"
