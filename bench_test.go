@@ -318,50 +318,49 @@ func BenchmarkStallSkipping(b *testing.B) {
 
 // BenchmarkSMPThroughput tracks socket-scale simulation cost: a DeepBench
 // conv gang at 2, 8 and 18 cores, barrier-dense (Figure 5's Unsched-heavy
-// shape) and barrier-free, stepped by the sequential lockstep and by the
-// parallel epoch-gated harness. b.N counts committed uops summed across the
-// gang, so ns/op is directly comparable to BenchmarkSimulatorThroughput; the
-// parallel/sequential ratio at 18 cores is the headline socket speedup.
+// shape) and barrier-free, the latter over a monolithic and a 4-slice
+// shared L3. b.N counts committed uops summed across the gang, so ns/op is
+// directly comparable to BenchmarkSimulatorThroughput.
 func BenchmarkSMPThroughput(b *testing.B) {
 	m := config.SKX()
 	variants := []struct {
 		name    string
 		barrier int
+		slices  int
 	}{
-		{"barrier-dense", 4000},
-		{"barrier-free", 0},
+		{"barrier-dense", 4000, 1},
+		{"barrier-free/slices=1", 0, 1},
+		{"barrier-free/slices=4", 0, 4},
 	}
 	for _, cores := range []int{2, 8, 18} {
 		for _, v := range variants {
-			for _, mode := range []string{"sequential", "parallel"} {
-				cores, v, mode := cores, v, mode
-				b.Run(fmt.Sprintf("cores=%d/%s/%s", cores, v.name, mode), func(b *testing.B) {
-					done := 0
-					for done < b.N {
-						per := uint64((b.N-done)/cores + 1)
-						if per > 100_000 {
-							per = 100_000
-						}
-						mk := func(tid int) trace.Reader {
-							k := workload.NewConv(workload.StyleSKX, workload.ConvTrain()[6],
-								workload.ConvFwd, m.Core.VectorLanes, uint64(tid)+1, v.barrier)
-							k.SetExtraOverhead(tid % 4) // skewed barrier paces
-							return trace.NewLimit(k, per)
-						}
-						opts := sim.Default()
-						opts.Parallel = mode == "parallel"
-						res := sim.RunSMP(m, cores, mk, opts)
-						committed := 0
-						for _, st := range res.PerCore {
-							committed += int(st.Committed)
-						}
-						if committed == 0 {
-							b.Fatal("no uops committed")
-						}
-						done += committed
+			cores, v := cores, v
+			b.Run(fmt.Sprintf("cores=%d/%s", cores, v.name), func(b *testing.B) {
+				mm := m
+				mm.Hierarchy.L3Slices = v.slices
+				done := 0
+				for done < b.N {
+					per := uint64((b.N-done)/cores + 1)
+					if per > 100_000 {
+						per = 100_000
 					}
-				})
-			}
+					mk := func(tid int) trace.Reader {
+						k := workload.NewConv(workload.StyleSKX, workload.ConvTrain()[6],
+							workload.ConvFwd, mm.Core.VectorLanes, uint64(tid)+1, v.barrier)
+						k.SetExtraOverhead(tid % 4) // skewed barrier paces
+						return trace.NewLimit(k, per)
+					}
+					res := sim.RunSMP(mm, cores, mk, sim.Default())
+					committed := 0
+					for _, st := range res.PerCore {
+						committed += int(st.Committed)
+					}
+					if committed == 0 {
+						b.Fatal("no uops committed")
+					}
+					done += committed
+				}
+			})
 		}
 	}
 }
@@ -382,49 +381,6 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 		done += int(res.Stats.Committed)
 		if res.Stats.Committed == 0 {
 			break
-		}
-	}
-}
-
-// BenchmarkSMPThroughputSliced tracks the sliced-uncore contention headroom:
-// barrier-free gangs (the shape where the epoch gate, not the barrier, is
-// the ceiling) at 2, 8 and 18 cores with a monolithic and a 4-slice shared
-// L3, stepped by the parallel harness. Run with -mutexprofile to see the
-// gate serialization move off the single access lock onto the per-slice
-// domains; the S=4/S=1 ns/op ratio on a multi-core host is the headline.
-func BenchmarkSMPThroughputSliced(b *testing.B) {
-	m := config.SKX()
-	for _, cores := range []int{2, 8, 18} {
-		for _, slices := range []int{1, 4} {
-			cores, slices := cores, slices
-			b.Run(fmt.Sprintf("cores=%d/slices=%d/barrier-free/parallel", cores, slices), func(b *testing.B) {
-				mm := m
-				mm.Hierarchy.L3Slices = slices
-				done := 0
-				for done < b.N {
-					per := uint64((b.N-done)/cores + 1)
-					if per > 100_000 {
-						per = 100_000
-					}
-					mk := func(tid int) trace.Reader {
-						k := workload.NewConv(workload.StyleSKX, workload.ConvTrain()[6],
-							workload.ConvFwd, mm.Core.VectorLanes, uint64(tid)+1, 0)
-						k.SetExtraOverhead(tid % 4)
-						return trace.NewLimit(k, per)
-					}
-					opts := sim.Default()
-					opts.Parallel = true
-					res := sim.RunSMP(mm, cores, mk, opts)
-					committed := 0
-					for _, st := range res.PerCore {
-						committed += int(st.Committed)
-					}
-					if committed == 0 {
-						b.Fatal("no uops committed")
-					}
-					done += committed
-				}
-			})
 		}
 	}
 }

@@ -41,7 +41,6 @@ func main() {
 	warmup := flag.Uint64("warmup", 0, "warm-up uops per simulation (0 = default)")
 	quick := flag.Bool("quick", false, "use the reduced test sizing")
 	par := flag.Int("parallel", 0, "concurrent simulations (0 = GOMAXPROCS)")
-	smpPar := flag.Bool("smp-parallel", false, "step SMP gangs (figure5) on concurrent per-core goroutines; results are byte-identical")
 	l3Slices := flag.Int("l3-slices", 0, "address-hash the SMP shared L3 (figure5) into this many slices, a power of two (0 or 1 = monolithic)")
 	benchJSON := flag.String("benchjson", "", "write per-experiment wall-time stats as JSON to this file (- for stderr)")
 	ckptPath := flag.String("checkpoint", "", "persist each completed experiment's output as a JSONL line in this file")
@@ -95,7 +94,6 @@ func main() {
 		spec.Warmup = *warmup
 	}
 	spec.Parallelism = *par
-	spec.SMPParallel = *smpPar
 	if s := *l3Slices; s < 0 || (s > 1 && s&(s-1) != 0) {
 		fmt.Fprintf(os.Stderr, "experiments: -l3-slices must be a power of two, got %d\n", s)
 		os.Exit(2)

@@ -1,7 +1,7 @@
 // Command simlint is the repo's invariant multichecker. It bundles the
-// eleven analyzers of internal/analyzers (enumexhaustive, repeataware,
+// ten analyzers of internal/analyzers (enumexhaustive, repeataware,
 // batchingest, determinism, acctencapsulation, errcheckerr, handlerctx,
-// smpshared, hotalloc, atomicmix, staleannot) behind the two driver modes
+// hotalloc, atomicmix, staleannot) behind the two driver modes
 // of internal/analysis:
 //
 //	simlint ./...                           standalone, over go list patterns
@@ -15,7 +15,7 @@
 // annotation on the offending line or the line above it — the staleannot
 // pass flags any suppression that stops earning its keep. Hot-path
 // functions are marked `//simlint:hotpath`; see DESIGN.md §8 for the
-// invariant catalogue and §13 for the flow-sensitive tier.
+// invariant catalogue and §12 for the flow-sensitive tier.
 package main
 
 import (

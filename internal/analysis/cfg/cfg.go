@@ -26,7 +26,7 @@
 // switch is a successor of the header (case-expression evaluation order
 // is not chained), and a select without a default still reaches all of
 // its communication clauses. Soundness caveats are catalogued in
-// DESIGN.md §13.
+// DESIGN.md §12.
 package cfg
 
 import (

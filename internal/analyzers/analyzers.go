@@ -1,4 +1,4 @@
-// Package analyzers holds the simlint suite: eleven static-analysis passes
+// Package analyzers holds the simlint suite: ten static-analysis passes
 // that machine-check the accounting core's structural invariants — the
 // conventions that make every CPI/FLOPS stack sum exactly to total cycles —
 // the simulator's hot-path performance contracts, its concurrency
@@ -21,9 +21,6 @@
 //   - handlerctx: internal/service HTTP handlers propagate r.Context() into
 //     context-accepting calls (singleflight, pool submission), so client
 //     disconnects cancel the work they started.
-//   - smpshared: core-step code (internal/cpu) reaches the shared uncore
-//     only through the epoch API (cache.EpochPort), never by direct Access
-//     on a shared level — the parallel-SMP byte-identity contract.
 //   - hotalloc: functions marked //simlint:hotpath and their same-package
 //     transitive callees are allocation-free on all CFG-reachable paths
 //     (flow-sensitive; see internal/analysis/cfg and /dataflow).
@@ -32,7 +29,7 @@
 //   - staleannot: every //simlint:partial still suppresses a live finding
 //     and every //simlint:hotpath anchors to a function declaration.
 //
-// DESIGN.md §8 lists the enforced invariants (§13 covers the
+// DESIGN.md §8 lists the enforced invariants (§12 covers the
 // flow-sensitive tier); cmd/simlint is the multichecker binary that runs
 // the suite (standalone or as a `go vet -vettool`).
 package analyzers
@@ -60,7 +57,6 @@ func All() []*analysis.Analyzer {
 		AcctEncapsulation,
 		ErrCheckErr,
 		HandlerCtx,
-		SMPShared,
 		HotAlloc,
 		AtomicMix,
 		StaleAnnot,

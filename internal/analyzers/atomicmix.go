@@ -10,13 +10,13 @@ import (
 	"perfstacks/internal/analysis/dataflow"
 )
 
-// AtomicMix enforces the atomic publication discipline behind the parallel
-// SMP byte-identity contract: a field that is ever accessed through
-// sync/atomic — EpochGate.progress and EpochGate.gate are the load-bearing
-// cases — must never be read or written with a plain load/store. Mixed
-// access is a data race the memory model gives no meaning to, and `-race`
-// only catches it on the interleavings a test happens to exercise; this
-// pass closes that gap statically, on every path of every build.
+// AtomicMix enforces the atomic publication discipline: a field that is
+// ever accessed through sync/atomic — the service's metrics and the result
+// cache's hit/miss counters are the current cases — must never be read or
+// written with a plain load/store. Mixed access is a data race the memory
+// model gives no meaning to, and `-race` only catches it on the
+// interleavings a test happens to exercise; this pass closes that gap
+// statically, on every path of every build.
 //
 // Two access styles are understood:
 //

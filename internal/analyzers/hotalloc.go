@@ -13,11 +13,11 @@ import (
 
 // HotAlloc proves the benchmarked 0 allocs/op property statically: every
 // function marked //simlint:hotpath — Core.Step, the ReadBatch
-// implementations, the EpochPort methods, the accountants' Cycle — and every
-// same-package function transitively called from one must be allocation-free
-// on all paths reachable from its entry. The benchmarks catch an allocation
-// regression only on the configurations they run; this pass catches it on
-// every path of every build.
+// implementations, the sliced L3's Access routing, the accountants' Cycle —
+// and every same-package function transitively called from one must be
+// allocation-free on all paths reachable from its entry. The benchmarks
+// catch an allocation regression only on the configurations they run; this
+// pass catches it on every path of every build.
 //
 // The analysis is flow-sensitive. Each function's body becomes a CFG
 // (internal/analysis/cfg) with constant conditions pruned, so allocation

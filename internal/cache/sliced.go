@@ -4,10 +4,9 @@
 // disjoint-address traffic lands on disjoint slice pipelines. SlicedLevel
 // reproduces that: a power-of-two number of independent Level state machines
 // with a deterministic line hash routing every request to exactly one of
-// them. Slicing is a model dimension (per-slice capacity and bandwidth
-// sensitivity, per the scaled-uncore methodology) and a concurrency one: in
-// parallel SMP runs each slice is its own epoch ordering domain with its own
-// lock, waiter set, MSHR pool and memory channel (see epoch.go, DESIGN §14).
+// them. Slicing is a model dimension: per-slice capacity, MSHR pool and
+// memory channel, for bandwidth sensitivity per the scaled-uncore
+// methodology (DESIGN §13).
 package cache
 
 import (

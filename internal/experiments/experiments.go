@@ -22,16 +22,10 @@ type RunSpec struct {
 	Warmup uint64
 	// Parallelism bounds concurrent simulations (0 = GOMAXPROCS).
 	Parallelism int
-	// SMPParallel steps SMP gangs (Figure 5) on concurrent per-core
-	// goroutines through the epoch-gated shared uncore. Results are
-	// byte-identical to sequential lockstep (sim.TestParallelSMPEquivalence);
-	// only the wall time changes.
-	SMPParallel bool
 	// L3Slices address-hashes the SMP gangs' shared L3 into this many
-	// slices, each its own ordering domain with its own memory channel
-	// (0 or 1 = monolithic). Unlike SMPParallel this is a model knob:
-	// the partition changes which lines conflict, so results differ
-	// between slice counts (but never between stepping modes).
+	// slices, each with its own memory channel (0 or 1 = monolithic). It
+	// is a model knob: the partition changes which lines conflict, so
+	// results differ between slice counts.
 	L3Slices int
 	// Ctx, when non-nil, cancels in-flight simulations cooperatively (the
 	// graceful-shutdown path of cmd/experiments). A canceled experiment's

@@ -50,8 +50,7 @@ func Figure5(spec RunSpec) Figure5Result {
 
 	runOne := func(mm config.Machine, label string) Figure5Run {
 		mm.Hierarchy.L3Slices = spec.L3Slices
-		opts := sim.Options{CPI: true, FLOPS: true, WarmupUops: spec.Warmup,
-			Parallel: spec.SMPParallel}
+		opts := sim.Options{CPI: true, FLOPS: true, WarmupUops: spec.Warmup}
 		res := sim.RunSMP(mm, figure5Cores, func(tid int) trace.Reader {
 			k := workload.NewConv(workload.StyleSKX, cfg, workload.ConvFwd,
 				mm.Core.VectorLanes, uint64(tid)*977+13, 20_000)

@@ -16,7 +16,6 @@ package mem
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"perfstacks/internal/invariant"
 )
@@ -69,25 +68,15 @@ func (s *Stats) add(o Stats) {
 	s.StallCycles += o.StallCycles
 }
 
-// Memory is the DRAM model. It is not safe for unsynchronized concurrent
-// use: the sequential SMP harness steps cores round-robin on one goroutine,
-// and the parallel harness serializes accesses through the cache package's
-// epoch gate, which also keeps them in ascending epoch order (SetEpochFloor
-// lets the simdebug build assert that). After a cancellation the gate only
-// guarantees per-slice exclusion, which suffices because each channel is
-// owned by exactly one slice.
+// Memory is the DRAM model. It is not safe for concurrent use: the SMP
+// harness steps its cores round-robin on one goroutine, so a shared Memory
+// sees one request at a time.
 type Memory struct {
 	cfg     Config
 	spacing int64
 	// nextSlot is the per-channel bandwidth cursor.
 	nextSlot []int64
-	// epochFloor is the cycle of the current epoch grant: every request must
-	// arrive at or after it. Only checked under the simdebug build tag.
-	// Atomic because the cancellation path resets it concurrently with
-	// lingering pre-cancel accesses.
-	epochFloor atomic.Int64
-	// stats is per-channel so post-cancel slice-parallel drains never share a
-	// counter.
+	// stats holds each channel's counters (ChannelStats).
 	stats []Stats
 }
 
@@ -130,19 +119,9 @@ func (m *Memory) Stats() Stats {
 // ChannelStats returns channel i's counters.
 func (m *Memory) ChannelStats(i int) Stats { return m.stats[i] }
 
-// SetEpochFloor records the cycle of the epoch now draining into memory.
-// Requests under one grant all carry At >= the grant cycle (each hop down
-// the hierarchy only adds latency) and grants arrive in nondecreasing cycle
-// order, so the floor lets the simdebug build assert that no access slipped
-// past the epoch gate out of order. The parallel SMP harness calls it via
-// the gate's grant hook; sequential runs never set it.
-func (m *Memory) SetEpochFloor(cycle int64) { m.epochFloor.Store(cycle) }
-
 // Access serves one request and returns the cycle its data is available.
 func (m *Memory) Access(req Request) int64 {
 	if invariant.Enabled {
-		invariant.Assertf(req.At >= m.epochFloor.Load(),
-			"mem: request at cycle %d arrived under epoch floor %d", req.At, m.epochFloor.Load())
 		invariant.Assertf(req.Channel >= 0 && req.Channel < len(m.nextSlot),
 			"mem: channel %d out of range [0,%d)", req.Channel, len(m.nextSlot))
 	}
@@ -172,5 +151,4 @@ func (m *Memory) Reset() {
 		m.nextSlot[i] = 0
 		m.stats[i] = Stats{}
 	}
-	m.epochFloor.Store(0)
 }

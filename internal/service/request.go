@@ -56,16 +56,15 @@ type Request struct {
 type SMPSpec struct {
 	// Cores is the gang width (2 to maxSMPCores).
 	Cores int `json:"cores"`
-	// Parallel steps the cores on concurrent goroutines through the
-	// epoch-gated shared uncore. Results are byte-identical to the
-	// sequential lockstep (sim.TestParallelSMPEquivalence), so this knob
-	// trades wall time only and does not enter the cache key.
+	// Parallel is accepted and ignored, so clients that still send
+	// "parallel":true keep working: gangs always step in sequential
+	// lockstep, and the field never enters the cache key.
 	Parallel bool `json:"parallel,omitempty"`
-	// L3Slices address-hashes the shared L3 into this many slices, each an
-	// independent ordering domain with its own memory channel (0 or 1 =
-	// monolithic, a power of two otherwise). Unlike Parallel this is a
-	// model knob — the partition changes which lines conflict — so it
-	// enters the cache key through the canonical machine encoding.
+	// L3Slices address-hashes the shared L3 into this many slices, each
+	// with its own memory channel (0 or 1 = monolithic, a power of two
+	// otherwise). It is a model knob — the partition changes which lines
+	// conflict — so it enters the cache key through the canonical machine
+	// encoding.
 	L3Slices int `json:"l3_slices,omitempty"`
 }
 
@@ -192,9 +191,6 @@ func (s *Server) resolve(req *Request) (*plan, error) {
 		if req.Workload == nil {
 			return nil, fmt.Errorf("%w: smp requires a generator workload (a trace file carries no per-thread streams)", sim.ErrBadValue)
 		}
-		// Parallel stepping is byte-identical by contract, and
-		// CanonicalOptions excludes it, so it cannot split the key space.
-		opts.Parallel = req.SMP.Parallel
 		// The slice count is part of the machine: CanonicalMachine keys it
 		// (and validates the power-of-two/channel-shape constraints).
 		m.Hierarchy.L3Slices = req.SMP.L3Slices
@@ -274,8 +270,7 @@ func (s *Server) resolve(req *Request) (*plan, error) {
 
 // resolveSMP finishes a gang plan: the key binds the machine, options, the
 // base profile, the per-core length AND the core count — a 4-core and an
-// 8-core gang of the same workload measure different things — while the
-// Parallel knob stays out (byte-identical stepping must share one entry).
+// 8-core gang of the same workload measure different things.
 func (s *Server) resolveSMP(p *plan, m config.Machine, prof workload.Profile, uops uint64, opts sim.Options, cores int) (*plan, error) {
 	mb, err := sim.CanonicalMachine(m)
 	if err != nil {

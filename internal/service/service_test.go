@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -454,8 +455,8 @@ func TestInvalidRequests(t *testing.T) {
 }
 
 // TestSMPRequests: gang requests simulate, decode as an aggregate result,
-// key on the core count, and — because parallel stepping is byte-identical
-// by contract — share one cache entry across the parallel knob.
+// key on the core count, and share one cache entry across the
+// accepted-but-ignored parallel knob.
 func TestSMPRequests(t *testing.T) {
 	var sims atomic.Int32
 	_, ts := newTestServer(t, Config{}, func(s *Server) {
@@ -487,7 +488,7 @@ func TestSMPRequests(t *testing.T) {
 		t.Fatalf("implausible gang result: %+v", res.Stats)
 	}
 
-	// The parallel knob must hit the sequential run's cache entry with a
+	// The ignored parallel knob must hit the first run's cache entry with a
 	// byte-identical body: no second simulation.
 	r2 := post(t, ts, body(4, true))
 	b2 := readAll(t, r2)
@@ -518,24 +519,45 @@ func TestSMPRequests(t *testing.T) {
 	}
 }
 
-// TestSMPRequestParallelByteIdentical drives the real parallel harness
-// through the service stack: two fresh servers (separate caches) simulate
-// the same gang sequentially and in parallel, and the encoded payloads must
-// be byte-identical — the service-level face of the equivalence contract.
-func TestSMPRequestParallelByteIdentical(t *testing.T) {
-	run := func(parallel bool) []byte {
-		var payload []byte
-		_, ts := newTestServer(t, Config{}, nil)
-		resp := post(t, ts, fmt.Sprintf(
-			`{"machine":"SKX","workload":{"profile":"mcf","uops":4000},"stacks":["cpi","flops"],"smp":{"cores":3,"parallel":%v}}`, parallel))
-		payload = readAll(t, resp)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("parallel=%v: %d: %s", parallel, resp.StatusCode, payload)
-		}
-		return payload
+// TestSMPRequestParallelIgnored pins the 3-core SKX gang's payload bytes
+// at l3_slices 1 and 4, and checks that the accepted-but-ignored
+// "parallel" knob stays out of the result: the same gang with
+// "parallel":true shares the key and is served as a cache hit.
+func TestSMPRequestParallelIgnored(t *testing.T) {
+	// SHA-256 of each payload: a mismatch means the gang's result bytes
+	// changed.
+	digests := map[int]string{
+		1: "17894afb9beccfe8b4b2e752014676504fec0c4012a2f2460974e0f7db3d2e04",
+		4: "fe70e9a24cc32ebb73d0c372772848d73f9152318ebb1d0cd8a24e70ecc8ddb0",
 	}
-	if !bytes.Equal(run(false), run(true)) {
-		t.Fatal("service gang payloads differ between sequential and parallel stepping")
+	for _, slices := range []int{1, 4} {
+		t.Run(fmt.Sprintf("slices=%d", slices), func(t *testing.T) {
+			_, ts := newTestServer(t, Config{}, nil)
+			run := func(parallel bool) (*http.Response, []byte) {
+				resp := post(t, ts, fmt.Sprintf(
+					`{"machine":"SKX","workload":{"profile":"mcf","uops":4000},"stacks":["cpi","flops"],"smp":{"cores":3,"l3_slices":%d,"parallel":%v}}`,
+					slices, parallel))
+				payload := readAll(t, resp)
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("parallel=%v: %d: %s", parallel, resp.StatusCode, payload)
+				}
+				return resp, payload
+			}
+			r1, b1 := run(false)
+			r2, b2 := run(true)
+			if k1, k2 := r1.Header.Get("X-Result-Key"), r2.Header.Get("X-Result-Key"); k1 != k2 {
+				t.Fatalf("parallel=true keyed %s, parallel=false %s", k2, k1)
+			}
+			if got := r2.Header.Get("X-Cache"); got != "hit" {
+				t.Fatalf("parallel=true X-Cache = %q, want hit", got)
+			}
+			if !bytes.Equal(b1, b2) {
+				t.Fatal("parallel=true served different bytes")
+			}
+			if got := fmt.Sprintf("%x", sha256.Sum256(b1)); got != digests[slices] {
+				t.Fatalf("gang payload sha256 = %s, want %s", got, digests[slices])
+			}
+		})
 	}
 }
 

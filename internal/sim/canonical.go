@@ -104,11 +104,9 @@ func ValidateOptions(opts Options) error {
 }
 
 // CanonicalOptions returns the canonical bytes of the measurement-relevant
-// option fields. NoSkip, Parallel and Context are deliberately excluded:
-// skipping and parallel SMP stepping are bit-identical by contract
-// (TestSkipEquivalence, TestParallelSMPEquivalence) and cancellation never
-// changes a completed measurement, so none of them may split the cache key
-// space.
+// option fields. NoSkip and Context are deliberately excluded: skipping is
+// bit-identical by contract (TestSkipEquivalence) and cancellation never
+// changes a completed measurement, so neither may split the cache key space.
 func CanonicalOptions(opts Options) ([]byte, error) {
 	if err := ValidateOptions(opts); err != nil {
 		return nil, err

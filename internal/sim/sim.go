@@ -43,13 +43,6 @@ type Options struct {
 	// either way (see TestSkipEquivalence); the flag exists as a debugging
 	// escape hatch and for measuring the skipping speedup.
 	NoSkip bool
-	// Parallel steps the cores of an SMP run (RunSMP) on one goroutine
-	// each, serializing shared-uncore accesses through the epoch gate in
-	// ascending (cycle, core) order. Results are byte-identical to the
-	// sequential lockstep (see TestParallelSMPEquivalence), so — like
-	// NoSkip — the flag never splits the cache key space. Single-core runs
-	// and n=1 SMP runs ignore it.
-	Parallel bool
 	// Context, when non-nil, lets the run be canceled cooperatively: the
 	// step loop polls it every few thousand steps (off the per-cycle hot
 	// path) and a canceled run returns with Result.Err wrapping ErrCanceled.
@@ -256,29 +249,12 @@ func RunSMP(m config.Machine, n int, makeTrace func(tid int) trace.Reader, opts 
 	sharedMem := mem.NewChannels(memCfg, m.Hierarchy.ChannelCount())
 	sharedL3 := cache.NewSlicedL3(l3cfg, m.Hierarchy.SliceCount(), sharedMem)
 
-	// In parallel mode every core's hierarchy is built over its epoch-gate
-	// port instead of the bare shared level: the gate drains shared accesses
-	// in ascending (cycle, core) order — exactly the sequential lockstep
-	// order — so the results stay byte-identical regardless of slice count
-	// (TestParallelSMPEquivalence); sequential runs route through the same
-	// SlicedLevel, so the partition itself is mode-invariant.
-	parallel := opts.Parallel && n > 1
-	var gate *cache.EpochGate
-	if parallel {
-		gate = cache.NewEpochGate(sharedL3, n)
-		gate.SetGrantHook(sharedMem.SetEpochFloor)
-	}
-
 	cores := make([]*cpu.Core, n)
 	traces := make([]trace.Reader, n)
 	cpiAccts := make([]*core.MultiStageAccountant, n)
 	flopsAccts := make([]*core.FLOPSAccountant, n)
 	for i := 0; i < n; i++ {
-		shared := cache.Level(sharedL3)
-		if parallel {
-			shared = gate.Port(i)
-		}
-		hier := cache.NewHierarchyShared(m.Hierarchy, shared)
+		hier := cache.NewHierarchyShared(m.Hierarchy, sharedL3)
 		pred := newPredictor(m)
 		traces[i] = makeTrace(i)
 		c := cpu.New(m.Core, hier, pred, traces[i])
@@ -300,22 +276,12 @@ func RunSMP(m config.Machine, n int, makeTrace func(tid int) trace.Reader, opts 
 		cores[i] = c
 	}
 
-	var canceled bool
-	if parallel {
-		psmp := cpu.NewParallelSMP(cores, gate)
-		if opts.Context != nil {
-			psmp.SetContext(opts.Context)
-		}
-		psmp.Run()
-		canceled = psmp.Canceled()
-	} else {
-		smp := cpu.NewSMP(cores)
-		if opts.Context != nil {
-			smp.SetContext(opts.Context)
-		}
-		smp.Run()
-		canceled = smp.Canceled()
+	smp := cpu.NewSMP(cores)
+	if opts.Context != nil {
+		smp.SetContext(opts.Context)
 	}
+	smp.Run()
+	canceled := smp.Canceled()
 
 	res := SMPResult{
 		Machine:    m.Name,
