@@ -2,11 +2,13 @@
 // simulator: Table I, Figures 1-5, the accounting-overhead claim of §IV and
 // the wrong-path accounting scheme study of §III-B.
 //
-// Like cmd/sweep, the driver is fault tolerant: each experiment's rendered
-// output can be checkpointed as JSONL the moment it completes, SIGINT and
-// SIGTERM cancel in-flight simulations cooperatively, and -resume skips
-// experiments that already finished. A panicking experiment is isolated into
-// a structured error and the command exits non-zero.
+// Like cmd/sweep, the driver is fault tolerant: SIGINT and SIGTERM cancel
+// in-flight simulations cooperatively, and with -cache every completed
+// profile-driven simulation is stored in the content-addressed result cache,
+// so rerunning the same command resumes an interrupted run (tableI,
+// figure1-3 and wrongpath replay from the cache; figure4, figure5, ablation
+// and overhead re-run). A panicking experiment is isolated into a
+// structured error and the command exits non-zero.
 //
 // Usage:
 //
@@ -15,12 +17,11 @@
 //	                            # overhead, wrongpath
 //	experiments -uops 500000 -warmup 300000 -quick=false
 //	experiments -run figure2 -cpuprofile cpu.pprof -memprofile mem.pprof
-//	experiments -checkpoint exp.jsonl -resume
+//	experiments -cache DIR      # rerun to resume after ^C
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -43,16 +44,10 @@ func main() {
 	par := flag.Int("parallel", 0, "concurrent simulations (0 = GOMAXPROCS)")
 	l3Slices := flag.Int("l3-slices", 0, "address-hash the SMP shared L3 (figure5) into this many slices, a power of two (0 or 1 = monolithic)")
 	benchJSON := flag.String("benchjson", "", "write per-experiment wall-time stats as JSON to this file (- for stderr)")
-	ckptPath := flag.String("checkpoint", "", "persist each completed experiment's output as a JSONL line in this file")
-	resume := flag.Bool("resume", false, "reload -checkpoint and skip already-completed experiments")
 	cacheDir := flag.String("cache", "", "content-addressed result cache directory (shared with simd and sweep)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file at exit")
 	flag.Parse()
-
-	if *resume && *ckptPath == "" {
-		fatal(fmt.Errorf("-resume requires -checkpoint"))
-	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -120,10 +115,6 @@ func main() {
 		"ablation":  func() string { return experiments.Ablation(spec).Render() },
 	}
 	order := []string{"tableI", "figure1", "figure2", "figure3", "figure4", "figure5", "overhead", "wrongpath", "ablation"}
-	canonical := make(map[string]int, len(order))
-	for i, name := range order {
-		canonical[name] = i
-	}
 
 	names := order
 	if *run != "all" {
@@ -133,50 +124,24 @@ func main() {
 		names = []string{*run}
 	}
 
-	var ckpt *runner.Checkpoint
-	if *ckptPath != "" {
-		var err error
-		ckpt, err = runner.OpenCheckpoint(*ckptPath, *resume)
-		if err != nil {
-			fatal(err)
-		}
-		defer ckpt.Close()
-	}
-
 	// Experiments run sequentially through the shared supervisor (each one
 	// parallelizes its simulations internally via spec.Parallelism); the
 	// timed report carries per-experiment wall time for -benchjson, and a
 	// panicking experiment becomes a JobError instead of a crash.
 	outputs := make([]string, len(names))
 	completed := make([]bool, len(names))
-	report := runner.RunTimedOpts(ctx, runner.Options{Workers: 1}, len(names),
+	report := runner.RunTimed(ctx, 1, len(names),
 		func(jctx context.Context, i int) (string, uint64, error) {
 			name := names[i]
-			if ckpt != nil {
-				// Checkpoints are keyed by experiment name (stable across
-				// -run filters that renumber the job list).
-				if e, ok := ckpt.LookupLabel(name); ok {
-					if err := json.Unmarshal(e.Payload, &outputs[i]); err != nil {
-						return name, 0, fmt.Errorf("corrupt checkpoint payload (delete %s or rerun without -resume): %w", *ckptPath, err)
-					}
-					completed[i] = true
-					return name, 0, nil
-				}
-			}
 			outputs[i] = all[name]()
 			if jctx.Err() != nil {
 				// Canceled mid-experiment: the rendered output covers
-				// partial simulations and must not be reported or persisted.
+				// partial simulations and must not be reported.
 				return name, 0, fmt.Errorf("experiment interrupted: %w", jctx.Err())
 			}
 			completed[i] = true
-			if ckpt != nil {
-				if err := ckpt.Record(canonical[name], name, outputs[i]); err != nil {
-					fmt.Fprintln(os.Stderr, "experiments:", err)
-				}
-			}
 			return name, 0, nil
-		}, nil)
+		})
 
 	for i, name := range names {
 		if !completed[i] {
@@ -212,9 +177,9 @@ func main() {
 		}
 		os.Exit(1)
 	case missing > 0:
-		hint := ""
-		if ckpt != nil {
-			hint = fmt.Sprintf("; rerun with -checkpoint %s -resume to continue", *ckptPath)
+		hint := "; pass -cache DIR next time to keep completed simulations across an interrupt"
+		if *cacheDir != "" {
+			hint = fmt.Sprintf("; completed simulations are cached, rerun with -cache %s to resume", *cacheDir)
 		}
 		fmt.Fprintf(os.Stderr, "experiments: interrupted with %d of %d experiments missing%s\n",
 			missing, len(names), hint)

@@ -3,29 +3,27 @@
 // CSV — the bulk-characterization workflow, ready for spreadsheets or
 // plotting scripts.
 //
-// The sweep is fault tolerant: each completed run is checkpointed as one
-// JSONL line the moment it finishes, SIGINT/SIGTERM cancel the worker pool
-// cooperatively and flush partial results, and -resume reloads the
-// checkpoint and simulates only the missing configurations. A run whose
-// trace faults or that panics is reported and makes the sweep exit non-zero
-// without taking down the other runs.
+// The sweep is fault tolerant: SIGINT/SIGTERM cancel the worker pool
+// cooperatively, and with -cache every completed run is stored in the
+// content-addressed result cache the moment it finishes (a canceled run is
+// never stored), so rerunning the same command resumes an interrupted sweep:
+// finished runs are cache hits and only the missing ones simulate. A run
+// whose trace faults or that panics is reported and makes the sweep exit
+// non-zero without taking down the other runs.
 //
 // Usage:
 //
 //	sweep -machines BDW,KNL -uops 300000 -warmup 200000 > stacks.csv
 //	sweep -benchjson bench.json > stacks.csv   # also write run stats as JSON
-//	sweep -checkpoint sweep.jsonl              # persist completed runs
-//	sweep -checkpoint sweep.jsonl -resume      # continue an interrupted sweep
+//	sweep -cache DIR > stacks.csv              # rerun to resume after ^C
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"os/signal"
-	"runtime"
 	"strings"
 	"syscall"
 
@@ -43,17 +41,11 @@ func main() {
 	machines := flag.String("machines", "BDW,KNL", "comma-separated machine list")
 	uops := flag.Uint64("uops", 300_000, "measured uops per run")
 	warm := flag.Uint64("warmup", 200_000, "warm-up uops per run")
-	par := flag.Int("parallel", runtime.GOMAXPROCS(0), "concurrent simulations")
+	par := flag.Int("parallel", 0, "concurrent simulations (0 = GOMAXPROCS)")
 	benchJSON := flag.String("benchjson", "", "write per-run wall-time/throughput stats as JSON to this file (- for stderr)")
-	ckptPath := flag.String("checkpoint", "", "persist each completed run as a JSONL line in this file")
-	resume := flag.Bool("resume", false, "reload -checkpoint and skip already-completed runs")
 	cacheDir := flag.String("cache", "", "content-addressed result cache directory (shared with simd and experiments)")
 	idealize := flag.Bool("idealize", false, "also sweep each machine's four idealized endpoints (perfect bpred/icache/dcache, single-cycle ALU)")
 	flag.Parse()
-
-	if *resume && *ckptPath == "" {
-		fatal(fmt.Errorf("-resume requires -checkpoint"))
-	}
 
 	var cache *resultcache.Cache
 	if *cacheDir != "" {
@@ -99,52 +91,17 @@ func main() {
 	}
 
 	// SIGINT/SIGTERM cancel the pool: running simulations stop at their next
-	// cancellation poll, unstarted jobs are skipped, and everything already
-	// checkpointed stays on disk for -resume.
+	// cancellation poll, unstarted jobs are skipped, and every run already
+	// stored in the -cache directory stays there for the rerun.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	var ckpt *runner.Checkpoint
-	if *ckptPath != "" {
-		var err error
-		ckpt, err = runner.OpenCheckpoint(*ckptPath, *resume)
-		if err != nil {
-			fatal(err)
-		}
-		defer ckpt.Close()
-		if *resume && ckpt.Len() > 0 {
-			fmt.Fprintf(os.Stderr, "sweep: resuming, %d/%d runs already completed\n", ckpt.Len(), len(jobs))
-		}
-	}
-
 	rows := make([]export.LabeledStacks, len(jobs))
 	completed := make([]bool, len(jobs))
-	onDone := func(i int, s runner.Stat) {
-		if s.Err != "" || ckpt == nil {
-			return
-		}
-		if _, ok := ckpt.Lookup(i); ok {
-			return // reused a resumed entry; it is already on disk
-		}
-		if err := ckpt.Record(i, s.Label, rows[i]); err != nil {
-			fmt.Fprintln(os.Stderr, "sweep:", err)
-		}
-	}
-	report := runner.RunTimedOpts(ctx, runner.Options{Workers: max(1, *par)}, len(jobs),
+	report := runner.RunTimed(ctx, runner.Workers(*par), len(jobs),
 		func(jctx context.Context, i int) (string, uint64, error) {
 			j := jobs[i]
 			label := j.prof.Name + "/" + j.label
-			if ckpt != nil {
-				if e, ok := ckpt.Lookup(i); ok {
-					var row export.LabeledStacks
-					if err := json.Unmarshal(e.Payload, &row); err != nil {
-						return label, 0, fmt.Errorf("corrupt checkpoint payload (delete %s or rerun without -resume): %w", *ckptPath, err)
-					}
-					rows[i] = row
-					completed[i] = true
-					return label, 0, nil
-				}
-			}
 			opts := sim.Default()
 			opts.WarmupUops = *warm
 			opts.Context = jctx
@@ -164,7 +121,7 @@ func main() {
 			}
 			completed[i] = true
 			return label, *warm + *uops, nil
-		}, onDone)
+		})
 
 	if *benchJSON != "" {
 		out := os.Stderr
@@ -191,9 +148,9 @@ func main() {
 	case ctx.Err() != nil:
 		// Interrupted: canceled runs show up as failures too, but the story
 		// to tell is the resume path, not the per-run cancellation errors.
-		hint := ""
-		if ckpt != nil {
-			hint = fmt.Sprintf("; completed runs are checkpointed, rerun with -checkpoint %s -resume", *ckptPath)
+		hint := "; pass -cache DIR next time to keep completed runs across an interrupt"
+		if *cacheDir != "" {
+			hint = fmt.Sprintf("; completed runs are cached, rerun with -cache %s to resume", *cacheDir)
 		}
 		fmt.Fprintf(os.Stderr, "sweep: interrupted with %d of %d runs missing; no CSV emitted%s\n",
 			missing, len(jobs), hint)
@@ -210,7 +167,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	// Every run completed: emit the merged CSV (resumed and fresh rows alike).
+	// Every run completed: emit the merged CSV (cached and fresh rows alike).
 	if err := export.StacksToCSV(os.Stdout, rows); err != nil {
 		fatal(err)
 	}

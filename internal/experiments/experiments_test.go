@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"perfstacks/internal/core"
+	"perfstacks/internal/resultcache"
 )
 
 // The experiment tests run at QuickSpec sizing: enough to exercise every
@@ -257,5 +258,37 @@ func TestFigure2MultiStageWins(t *testing.T) {
 	}
 	if out := r.Render(); !strings.Contains(out, "multi") {
 		t.Fatal("render incomplete")
+	}
+}
+
+// A rerun with the same -cache directory is how an interrupted
+// cmd/experiments resumes, so it must render the very bytes of a fresh
+// run while simulating nothing: the second run gets a fresh in-memory tier
+// over the same disk, as a new process would, and every lookup must hit.
+func TestTableICachedRerunIsByteIdentical(t *testing.T) {
+	dir := t.TempDir()
+	cached := func() (string, resultcache.StatsSnapshot) {
+		disk, err := resultcache.NewDisk(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec := QuickSpec()
+		spec.Cache = resultcache.New(resultcache.NewMemory(64<<20), disk)
+		out := TableI(spec).Render()
+		return out, spec.Cache.Stats.Snapshot()
+	}
+	first, cold := cached()
+	if cold.Misses == 0 || cold.Stores != cold.Misses {
+		t.Fatalf("cold run stats %+v: want every miss simulated and stored", cold)
+	}
+	second, warm := cached()
+	if second != first {
+		t.Fatalf("cached rerun rendered different bytes:\n--- first\n%s\n--- rerun\n%s", first, second)
+	}
+	if warm.Misses != 0 || warm.Hits() != cold.Misses {
+		t.Fatalf("rerun stats %+v: want %d hits and no misses", warm, cold.Misses)
+	}
+	if uncached := TableI(QuickSpec()).Render(); uncached != first {
+		t.Fatalf("cached render differs from the uncached one:\n--- cached\n%s\n--- uncached\n%s", first, uncached)
 	}
 }

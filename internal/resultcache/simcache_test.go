@@ -1,6 +1,8 @@
 package resultcache
 
 import (
+	"context"
+	"errors"
 	"reflect"
 	"testing"
 
@@ -85,5 +87,45 @@ func TestRunSPECCacheRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(bare.Stacks, cold.Stacks) {
 		t.Fatal("nil-cache run diverged")
+	}
+}
+
+// A canceled simulation is partial data and must never be cached: an
+// interrupted sweep resumes by rerunning with the same cache, so a stored
+// partial result would be replayed as a measurement.
+func TestRunSPECNeverCachesCanceledRun(t *testing.T) {
+	m, prof, opts := benchSetup(t)
+	disk, err := NewDisk(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := New(NewMemory(1<<20), disk)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	canceled := opts
+	canceled.Context = ctx
+	res, hit := RunSPEC(c, m, prof, 5000, canceled)
+	if !errors.Is(res.Err, sim.ErrCanceled) {
+		t.Fatalf("Err = %v, want sim.ErrCanceled", res.Err)
+	}
+	if hit {
+		t.Fatal("canceled run reported a cache hit")
+	}
+	if got := c.Stats.Stores.Load(); got != 0 {
+		t.Fatalf("Stores = %d after a canceled run, want 0", got)
+	}
+
+	live := opts
+	live.Context = context.Background()
+	res, hit = RunSPEC(c, m, prof, 5000, live)
+	if res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	if hit {
+		t.Fatal("live rerun hit the cache: the canceled run was stored")
+	}
+	if got := c.Stats.Stores.Load(); got != 1 {
+		t.Fatalf("Stores = %d after the live rerun, want 1", got)
 	}
 }

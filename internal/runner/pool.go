@@ -38,14 +38,16 @@ type PoolOptions struct {
 	// slot per worker). Submissions beyond workers+queue are shed with
 	// ErrSaturated.
 	QueueDepth int
-	// JobTimeout bounds each job cooperatively (0 = unbounded), with the
-	// same contract as Options.JobTimeout.
+	// JobTimeout bounds each job (0 = unbounded). It is enforced
+	// cooperatively: the job's context is canceled at the deadline and the
+	// job is expected to observe it (the sim step loop polls its context
+	// periodically); the goroutine is never killed.
 	JobTimeout time.Duration
 	// Instrument hooks gauge updates into the owner's metrics.
 	Instrument PoolInstrument
 }
 
-// Pool is the long-lived counterpart of Run/RunOpts: the batch entry points
+// Pool is the long-lived counterpart of Run/RunTimed: the batch entry points
 // supervise a fixed job list to completion, while a Pool serves an open
 // stream of submissions from a daemon. It keeps the supervisor's per-job
 // guarantees — panics recover into errors, timeouts are enforced

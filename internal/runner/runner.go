@@ -1,17 +1,18 @@
 // Package runner provides the shared supervised worker pool behind every
 // bulk-simulation front end (cmd/sweep, cmd/experiments, the experiment
-// library). Jobs are indexed 0..n-1 and write into caller-owned slots, so
-// results come back in deterministic index order no matter how the scheduler
-// interleaves them.
+// library) and, as Pool, behind the simd service. Batch jobs are indexed
+// 0..n-1 and write into caller-owned slots, so results come back in
+// deterministic index order no matter how the scheduler interleaves them.
 //
 // The pool is a supervisor, not just a semaphore: a job that panics is
 // recovered into a structured JobError instead of killing the process (one
 // crashed configuration in a thousand-point sweep must not take down the
-// other 999), cancellation of the run context stops feeding new jobs and is
-// forwarded to running jobs so they can stop cooperatively, per-job timeouts
-// bound runaway attempts, and errors marked Retryable are re-attempted with
-// exponential backoff. The timed variant additionally records per-run wall
-// time and ingestion throughput for machine-readable benchmark output.
+// other 999), and cancellation of the run context stops feeding new jobs and
+// is forwarded to running jobs so they can stop cooperatively. The timed
+// variant additionally records per-run wall time and ingestion throughput
+// for machine-readable benchmark output. The runner keeps no state across
+// runs: an interrupted sweep resumes by rerunning with the same result
+// cache (sweep -cache DIR), which serves every completed simulation.
 package runner
 
 import (
@@ -34,16 +35,18 @@ func Workers(requested int) int {
 	return max(1, runtime.GOMAXPROCS(0))
 }
 
-// JobError records one job that ultimately failed (after any retries).
+// JobError records one job that failed.
 type JobError struct {
 	// Index is the job's 0..n-1 position.
 	Index int `json:"index"`
 	// Label identifies the job when the timed variant ran it.
 	Label string `json:"label,omitempty"`
-	// Attempts is how many times the job was tried.
+	// Attempts is always 1: jobs are never retried, since a deterministic
+	// simulator that fails once fails again. The field keeps the
+	// -benchjson schema.
 	Attempts int `json:"attempts"`
-	// Err is the final attempt's error (a *PanicError for recovered
-	// panics). Not serialized; Message carries its text.
+	// Err is the job's error (a *PanicError for recovered panics). Not
+	// serialized; Message carries its text.
 	Err error `json:"-"`
 	// Message is Err's text, kept for JSON round-trips.
 	Message string `json:"error"`
@@ -75,97 +78,23 @@ type PanicError struct {
 // Error implements the error interface.
 func (e *PanicError) Error() string { return fmt.Sprintf("job panicked: %v", e.Value) }
 
-// retryableError marks a transient failure eligible for re-attempt.
-type retryableError struct{ err error }
-
-func (e *retryableError) Error() string { return e.err.Error() }
-func (e *retryableError) Unwrap() error { return e.err }
-
-// Retryable marks err as transient: the supervisor re-attempts jobs that
-// return retryable errors (up to Options.Retries times, with backoff).
-// Panics and plain errors are never retried — a deterministic simulator
-// failing twice the same way is a bug, not noise.
-func Retryable(err error) error {
-	if err == nil {
-		return nil
-	}
-	return &retryableError{err: err}
-}
-
-// IsRetryable reports whether err (anywhere in its chain) was marked
-// Retryable.
-func IsRetryable(err error) bool {
-	var r *retryableError
-	return errors.As(err, &r)
-}
-
-// Options tunes a supervised pool run. The zero value means: GOMAXPROCS
-// workers, no per-job timeout, no retries.
-type Options struct {
-	// Workers bounds pool concurrency (<= 0 means GOMAXPROCS).
-	Workers int
-	// JobTimeout bounds each attempt (0 = unbounded). It is enforced
-	// cooperatively: the attempt's context is canceled at the deadline and
-	// the job is expected to observe it (the sim step loop polls its
-	// context periodically); the goroutine is never killed.
-	JobTimeout time.Duration
-	// Retries is the maximum number of re-attempts for jobs that return
-	// Retryable errors.
-	Retries int
-	// Backoff is the delay before the first retry, doubling per further
-	// attempt. The actual wait is equal-jittered: half the exponential
-	// step is fixed and half is drawn from a seeded deterministic PRNG,
-	// so a sweep's worth of jobs retrying against the same recovering
-	// dependency spread out instead of thundering in lockstep. Waits end
-	// early when the run context is canceled.
-	Backoff time.Duration
-	// BackoffSeed seeds the retry jitter. The schedule is a pure function
-	// of (seed, job index, attempt), so a fixed seed reproduces the exact
-	// same waits run after run; the zero seed is itself a valid fixed
-	// seed, not "random".
-	BackoffSeed uint64
-}
-
 // Run executes job(ctx, 0)..job(ctx, n-1) across a supervised pool of at
-// most `workers` goroutines and returns the failed jobs in index order
-// (empty when everything succeeded). Each job writes its own result slot,
-// so the caller observes index-ordered results regardless of scheduling;
-// workers <= 1 (after clamping to n) runs the jobs sequentially on the
-// calling goroutine. Once ctx is canceled no new job starts; jobs not yet
-// started are skipped silently (they are not failures), while already
-// running jobs see the cancellation through their context and report
-// whatever error they return.
+// most `workers` goroutines (<= 0 means GOMAXPROCS) and returns the failed
+// jobs in index order (empty when everything succeeded). Each job writes its
+// own result slot, so the caller observes index-ordered results regardless
+// of scheduling; workers <= 1 (after clamping to n) runs the jobs
+// sequentially on the calling goroutine. Once ctx is canceled no new job
+// starts; jobs not yet started are skipped silently (they are not failures),
+// while already running jobs see the cancellation through their context and
+// report whatever error they return.
 func Run(ctx context.Context, workers, n int, job func(ctx context.Context, i int) error) []JobError {
-	return RunOpts(ctx, Options{Workers: workers}, n, job)
-}
-
-// RunOpts is Run with full supervisor options.
-func RunOpts(ctx context.Context, opts Options, n int, job func(ctx context.Context, i int) error) []JobError {
-	return runSupervised(ctx, opts, n, job, nil)
-}
-
-// runSupervised is the shared supervisor core. onFinal, when non-nil, is
-// invoked exactly once per started job after its last attempt, serialized
-// under an internal lock (the checkpoint/report hook).
-func runSupervised(ctx context.Context, opts Options, n int, job func(ctx context.Context, i int) error,
-	onFinal func(i int, err error, attempts int)) []JobError {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	errs := make([]error, n)
-	attempts := make([]int, n)
-	var finalMu sync.Mutex
-	runOne := func(i int) {
-		errs[i], attempts[i] = runAttempts(ctx, opts, i, job)
-		if onFinal != nil {
-			finalMu.Lock()
-			onFinal(i, errs[i], attempts[i])
-			finalMu.Unlock()
-		}
-	}
+	runOne := func(i int) { errs[i] = runOneAttempt(ctx, 0, i, job) }
 
-	workers := min(Workers(opts.Workers), n)
-	if workers <= 1 {
+	if workers = min(Workers(workers), n); workers <= 1 {
 		for i := 0; i < n; i++ {
 			if ctx.Err() != nil {
 				break
@@ -201,73 +130,17 @@ func runSupervised(ctx context.Context, opts Options, n int, job func(ctx contex
 
 	var failed []JobError
 	for i, err := range errs {
-		if err == nil {
-			continue
+		if err != nil {
+			failed = append(failed, JobError{Index: i, Attempts: 1, Err: err, Message: err.Error()})
 		}
-		failed = append(failed, JobError{
-			Index:    i,
-			Attempts: attempts[i],
-			Err:      err,
-			Message:  err.Error(),
-		})
 	}
 	return failed
 }
 
-// runAttempts runs one job through the attempt/retry loop.
-func runAttempts(ctx context.Context, opts Options, i int, job func(ctx context.Context, i int) error) (error, int) {
-	maxAttempts := 1 + max(0, opts.Retries)
-	var err error
-	for a := 0; a < maxAttempts; a++ {
-		err = runOneAttempt(ctx, opts.JobTimeout, i, job)
-		if err == nil || !IsRetryable(err) || a == maxAttempts-1 || ctx.Err() != nil {
-			return err, a + 1
-		}
-		if opts.Backoff > 0 {
-			t := time.NewTimer(backoffDelay(opts.Backoff, opts.BackoffSeed, i, a))
-			select {
-			case <-ctx.Done():
-				t.Stop()
-				return err, a + 1
-			case <-t.C:
-			}
-		}
-	}
-	return err, maxAttempts
-}
-
-// maxBackoffShift caps the exponential doubling so a generous retry
-// budget cannot shift the base into overflow (or into waits measured in
-// days).
-const maxBackoffShift = 16
-
-// backoffDelay is the wait before re-attempt `attempt` (0-based) of job
-// `job`: equal jitter over the exponential step, i.e. uniformly in
-// [step/2, step] where step = base << attempt. The jitter source is a
-// stateless hash of (seed, job, attempt) — no shared PRNG state, fully
-// deterministic for a fixed seed, yet distinct jobs land on distinct
-// offsets within the step.
-func backoffDelay(base time.Duration, seed uint64, job, attempt int) time.Duration {
-	if base <= 0 {
-		return 0
-	}
-	step := base << min(attempt, maxBackoffShift)
-	half := step / 2
-	draw := splitmix64(seed ^ uint64(job)*0x9e3779b97f4a7c15 ^ uint64(attempt)*0xbf58476d1ce4e5b9)
-	return half + time.Duration(draw%uint64(half+1))
-}
-
-// splitmix64 is the SplitMix64 finalizer: a cheap, well-mixed stateless
-// hash used as the jitter source.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // runOneAttempt runs a single attempt with panic recovery and the optional
-// per-attempt timeout.
+// timeout (Pool's JobTimeout; batch runs pass 0). The timeout is enforced
+// cooperatively: the attempt's context is canceled at the deadline and the
+// job is expected to observe it; the goroutine is never killed.
 func runOneAttempt(ctx context.Context, timeout time.Duration, i int, job func(ctx context.Context, i int) error) error {
 	jctx := ctx
 	cancel := context.CancelFunc(func() {})
@@ -293,16 +166,16 @@ func runOneAttempt(ctx context.Context, timeout time.Duration, i int, job func(c
 type Stat struct {
 	// Label identifies the run (e.g. "mcf/BDW").
 	Label string `json:"label"`
-	// WallSeconds is the job's own wall-clock time, summed over attempts.
+	// WallSeconds is the job's own wall-clock time.
 	WallSeconds float64 `json:"wall_seconds"`
 	// Uops is the number of uops the job simulated (0 when not applicable).
 	Uops uint64 `json:"uops,omitempty"`
 	// UopsPerSec is Uops / WallSeconds (0 when Uops is 0).
 	UopsPerSec float64 `json:"uops_per_sec,omitempty"`
-	// Attempts is how often the job ran (0 = never started: the run was
-	// canceled before the pool reached it).
+	// Attempts is 1 for a job that ran and 0 for one that never started
+	// (the run was canceled before the pool reached it).
 	Attempts int `json:"attempts,omitempty"`
-	// Err is the final failure's text, empty on success.
+	// Err is the failure's text, empty on success.
 	Err string `json:"error,omitempty"`
 }
 
@@ -323,60 +196,37 @@ type Report struct {
 	Errors []JobError `json:"errors,omitempty"`
 }
 
-// Failed reports whether any job ultimately failed.
+// Failed reports whether any job failed.
 func (r *Report) Failed() bool { return len(r.Errors) > 0 }
 
 // RunTimed is Run with per-job instrumentation: job returns a label, the
 // number of uops it simulated and its error, and the report carries wall
 // time, throughput and failures per job and in aggregate, in index order.
 func RunTimed(ctx context.Context, workers, n int, job func(ctx context.Context, i int) (label string, uops uint64, err error)) Report {
-	return RunTimedOpts(ctx, Options{Workers: workers}, n, job, nil)
-}
-
-// RunTimedOpts is RunTimed with full supervisor options plus an optional
-// completion hook: onDone is invoked once per started job, after its final
-// attempt, serialized with respect to every other hook invocation — the
-// natural place to checkpoint completed results (cmd/sweep streams JSONL
-// through it). The Stat passed to the hook is final for that job.
-func RunTimedOpts(ctx context.Context, opts Options, n int, job func(ctx context.Context, i int) (label string, uops uint64, err error),
-	onDone func(i int, s Stat)) Report {
 	rep := Report{
-		Workers: min(Workers(opts.Workers), n),
+		Workers: min(Workers(workers), n),
 		Jobs:    make([]Stat, n),
 	}
-	var mu sync.Mutex
 	start := time.Now()
-	wrapped := func(jctx context.Context, i int) error {
+	// Each job owns its Stat slot, so the wrapper fills it without locking.
+	// A panicking job keeps Attempts and gets its Err below; its Label and
+	// Uops stay empty.
+	rep.Errors = Run(ctx, workers, n, func(jctx context.Context, i int) error {
+		s := &rep.Jobs[i]
+		s.Attempts = 1
 		t0 := time.Now()
 		label, uops, err := job(jctx, i)
-		wall := time.Since(t0).Seconds()
-		mu.Lock()
-		s := &rep.Jobs[i]
-		s.Label = label
-		s.Uops = uops
-		s.WallSeconds += wall
-		mu.Unlock()
+		s.Label, s.Uops, s.WallSeconds = label, uops, time.Since(t0).Seconds()
+		if uops > 0 && s.WallSeconds > 0 {
+			s.UopsPerSec = float64(uops) / s.WallSeconds
+		}
 		return err
-	}
-	rep.Errors = runSupervised(ctx, opts, n, wrapped, func(i int, err error, attempts int) {
-		mu.Lock()
-		s := &rep.Jobs[i]
-		s.Attempts = attempts
-		if err != nil {
-			s.Err = err.Error()
-		}
-		if s.Uops > 0 && s.WallSeconds > 0 {
-			s.UopsPerSec = float64(s.Uops) / s.WallSeconds
-		}
-		final := *s
-		mu.Unlock()
-		if onDone != nil {
-			onDone(i, final)
-		}
 	})
 	rep.WallSeconds = time.Since(start).Seconds()
 	for i := range rep.Errors {
-		rep.Errors[i].Label = rep.Jobs[rep.Errors[i].Index].Label
+		s := &rep.Jobs[rep.Errors[i].Index]
+		s.Err = rep.Errors[i].Message
+		rep.Errors[i].Label = s.Label
 	}
 	for _, s := range rep.Jobs {
 		rep.TotalUops += s.Uops

@@ -168,83 +168,6 @@ func TestRunInlineCancellation(t *testing.T) {
 	}
 }
 
-func TestRetryableErrorsAreRetried(t *testing.T) {
-	var tries int32
-	failed := RunOpts(context.Background(), Options{Workers: 1, Retries: 3}, 1,
-		func(_ context.Context, i int) error {
-			if atomic.AddInt32(&tries, 1) < 3 {
-				return Retryable(errors.New("transient"))
-			}
-			return nil
-		})
-	if len(failed) != 0 {
-		t.Fatalf("job should succeed on third attempt: %v", failed)
-	}
-	if tries != 3 {
-		t.Fatalf("tries = %d, want 3", tries)
-	}
-}
-
-func TestRetryBudgetExhausts(t *testing.T) {
-	var tries int32
-	failed := RunOpts(context.Background(), Options{Workers: 1, Retries: 2, Backoff: time.Millisecond}, 1,
-		func(context.Context, int) error {
-			atomic.AddInt32(&tries, 1)
-			return Retryable(errors.New("still transient"))
-		})
-	if tries != 3 {
-		t.Fatalf("tries = %d, want 1 + 2 retries", tries)
-	}
-	if len(failed) != 1 || failed[0].Attempts != 3 {
-		t.Fatalf("failures = %+v, want one with Attempts=3", failed)
-	}
-}
-
-func TestPlainErrorsAreNotRetried(t *testing.T) {
-	var tries int32
-	failed := RunOpts(context.Background(), Options{Workers: 1, Retries: 5}, 1,
-		func(context.Context, int) error {
-			atomic.AddInt32(&tries, 1)
-			return errors.New("deterministic failure")
-		})
-	if tries != 1 {
-		t.Fatalf("deterministic failure retried %d times", tries)
-	}
-	if len(failed) != 1 {
-		t.Fatalf("failures = %v", failed)
-	}
-}
-
-func TestJobTimeoutCancelsAttempt(t *testing.T) {
-	failed := RunOpts(context.Background(), Options{Workers: 1, JobTimeout: 20 * time.Millisecond}, 1,
-		func(jctx context.Context, i int) error {
-			select {
-			case <-jctx.Done():
-				return fmt.Errorf("interrupted: %w", jctx.Err())
-			case <-time.After(10 * time.Second):
-				return nil
-			}
-		})
-	if len(failed) != 1 {
-		t.Fatal("timed-out job should fail")
-	}
-	if !errors.Is(failed[0].Err, context.DeadlineExceeded) {
-		t.Fatalf("error = %v, want DeadlineExceeded in chain", failed[0].Err)
-	}
-}
-
-func TestIsRetryable(t *testing.T) {
-	if IsRetryable(errors.New("plain")) {
-		t.Fatal("plain error is not retryable")
-	}
-	if !IsRetryable(fmt.Errorf("wrapped: %w", Retryable(errors.New("x")))) {
-		t.Fatal("retryable mark should survive wrapping")
-	}
-	if Retryable(nil) != nil {
-		t.Fatal("Retryable(nil) must be nil")
-	}
-}
-
 func TestRunTimedReport(t *testing.T) {
 	rep := RunTimed(context.Background(), 4, 6, func(_ context.Context, i int) (string, uint64, error) {
 		return fmt.Sprintf("job%d", i), uint64((i + 1) * 1000), nil
@@ -303,33 +226,32 @@ func TestRunTimedRecordsFailures(t *testing.T) {
 	}
 }
 
-func TestRunTimedOnDoneHookSerializedAndFinal(t *testing.T) {
-	var calls []Stat
-	var indices []int
-	RunTimedOpts(context.Background(), Options{Workers: 8, Retries: 1}, 20,
-		func(_ context.Context, i int) (string, uint64, error) {
-			if i%5 == 0 {
-				return fmt.Sprintf("j%d", i), 0, Retryable(errors.New("flaky"))
-			}
-			return fmt.Sprintf("j%d", i), 10, nil
-		},
-		func(i int, s Stat) {
-			// Serialized by contract: no extra locking here.
-			calls = append(calls, s)
-			indices = append(indices, i)
-		})
-	if len(calls) != 20 {
-		t.Fatalf("onDone called %d times, want once per job", len(calls))
-	}
-	for k, i := range indices {
-		s := calls[k]
-		if i%5 == 0 {
-			if s.Attempts != 2 || s.Err == "" {
-				t.Fatalf("flaky job %d final stat = %+v, want 2 attempts and an error", i, s)
-			}
-		} else if s.Attempts != 1 || s.Err != "" {
-			t.Fatalf("healthy job %d final stat = %+v", i, s)
+// The -benchjson schema: a started job reports one attempt (a panicking
+// one too, with its error text), a job the canceled pool never reached
+// reports zero.
+func TestRunTimedAttempts(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	rep := RunTimed(ctx, 1, 5, func(_ context.Context, i int) (string, uint64, error) {
+		if i == 1 {
+			cancel()
+			panic("poisoned config")
 		}
+		return fmt.Sprintf("job%d", i), 10, nil
+	})
+	want := []int{1, 1, 0, 0, 0}
+	for i, s := range rep.Jobs {
+		if s.Attempts != want[i] {
+			t.Errorf("job %d attempts = %d, want %d", i, s.Attempts, want[i])
+		}
+	}
+	if len(rep.Errors) != 1 || rep.Errors[0].Index != 1 || rep.Errors[0].Attempts != 1 {
+		t.Fatalf("Errors = %+v, want job 1 after one attempt", rep.Errors)
+	}
+	if got := rep.Jobs[1].Err; got != "job panicked: poisoned config" {
+		t.Errorf("panicked job's Stat.Err = %q", got)
+	}
+	if rep.TotalUops != 10 {
+		t.Errorf("TotalUops = %d, want 10 (only job 0 completed)", rep.TotalUops)
 	}
 }
 

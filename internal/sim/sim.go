@@ -46,6 +46,7 @@ type Options struct {
 	// Context, when non-nil, lets the run be canceled cooperatively: the
 	// step loop polls it every few thousand steps (off the per-cycle hot
 	// path) and a canceled run returns with Result.Err wrapping ErrCanceled.
+	// A context already done before the run starts cancels it at once.
 	Context context.Context
 }
 
@@ -171,10 +172,17 @@ func RunCustom(m config.Machine, tr trace.Reader, opts Options, acctOpts core.Op
 	}
 	c.SetWarmup(opts.WarmupUops)
 
-	stats := c.Run()
+	// A context already done never starts the run: Core.Run polls only
+	// every few thousand steps, so a short trace would otherwise complete
+	// under a canceled context and come back without ErrCanceled.
+	stats, canceled := c.Stats, opts.Context != nil && opts.Context.Err() != nil
+	if !canceled {
+		stats = c.Run()
+		canceled = c.Canceled()
+	}
 
 	res := Result{Machine: m.Name, Stats: stats}
-	res.Err, res.Truncated = runErr(tr, c.Canceled(), opts.Context, stats.Committed)
+	res.Err, res.Truncated = runErr(tr, canceled, opts.Context, stats.Committed)
 	if cpiAcct != nil {
 		// Finalize with the accountant's own post-warmup commit count.
 		res.Stacks = cpiAcct.Finalize(0)
@@ -280,8 +288,12 @@ func RunSMP(m config.Machine, n int, makeTrace func(tid int) trace.Reader, opts 
 	if opts.Context != nil {
 		smp.SetContext(opts.Context)
 	}
-	smp.Run()
-	canceled := smp.Canceled()
+	// As in RunCustom, a context already done never starts the gang.
+	canceled := opts.Context != nil && opts.Context.Err() != nil
+	if !canceled {
+		smp.Run()
+		canceled = smp.Canceled()
+	}
 
 	res := SMPResult{
 		Machine:    m.Name,
