@@ -53,6 +53,11 @@ type Options struct {
 	UseStageWidths bool
 	// StageWidths holds the per-stage widths for UseStageWidths.
 	StageWidths [NumStages]int
+	// PendingBound is the most uops the speculative scheme can have
+	// buffered at once (see sim's pendingBound for its derivation). It
+	// sizes the buffer, and simdebug builds assert it; 0 picks a default
+	// capacity and checks nothing. It never changes the stacks.
+	PendingBound int
 }
 
 // stageAcct accumulates one stage's stack with the width-carryover rule.
@@ -121,13 +126,22 @@ func NewMultiStageAccountant(opts Options) *MultiStageAccountant {
 	}
 	m := &MultiStageAccountant{opts: opts}
 	if opts.Scheme == WrongPathSpeculative {
-		m.spec = newSpecState()
+		m.spec = newSpecState(opts.PendingBound)
 	}
 	return m
 }
 
 // Options returns the accountant's configuration.
 func (m *MultiStageAccountant) Options() Options { return m.opts }
+
+// PendingPeak returns the most uops the speculative scheme has held
+// buffered at once so far (0 under the other schemes).
+func (m *MultiStageAccountant) PendingPeak() int {
+	if m.spec == nil {
+		return 0
+	}
+	return m.spec.peak
+}
 
 // Cycle consumes one cycle's sample. A sample with Repeat > 1 stands for
 // that many identical idle cycles and is accounted in one batched step.

@@ -103,8 +103,8 @@ func (m *MultiStageAccountant) debugConserve() {
 // still attributed to in-flight uops.
 func (sp *specState) debugStageTotal(st Stage) float64 {
 	t := sumFloats(sp.committed[st][:])
-	for i := range sp.pending {
-		t += sumFloats(sp.pending[i].comp[st][:])
+	for _, r := range sp.order {
+		t += sumFloats(sp.comps[r.slot][st][:])
 	}
 	return t
 }

@@ -168,9 +168,13 @@ type CycleSample struct {
 	// ROBHeadMissDepth is the head load's miss depth (0 = L1 hit, 1 = L2,
 	// 2 = L3, 3 = memory), feeding the per-level memory breakdown.
 	ROBHeadMissDepth uint8
-	// DispatchYoungest is the sequence number of the youngest uop
-	// dispatched this cycle (wrong-path included); valid when
-	// DispatchN+DispatchWrongN > 0.
+	// DispatchYoungest is the sequence number of the youngest
+	// correct-path uop dispatched this cycle, or of the youngest wrong-path
+	// one when only wrong-path uops went. On a cycle that dispatched
+	// nothing it carries the last cycle's value, except that a squash
+	// resets it to the youngest correct-path uop dispatched so far: it
+	// never names a squashed uop. The speculative scheme attributes the
+	// cycle to this uop, or to the next one (+1) on a dead cycle.
 	DispatchYoungest uint64
 
 	// --- Issue stage ---
@@ -194,8 +198,12 @@ type CycleSample struct {
 	// IssueBlockedMemOrder is true when it was a load blocked behind an
 	// older in-flight store to the same line (memory-order conflict).
 	IssueBlockedMemOrder bool
-	// IssueYoungest is the sequence number of the youngest uop issued this
-	// cycle; valid when IssueN+IssueWrongN > 0.
+	// IssueYoungest is DispatchYoungest's issue-stage counterpart: the
+	// youngest correct-path uop issued this cycle, the youngest wrong-path
+	// one when only wrong-path uops issued, and otherwise the last value.
+	// A squash resets it to its value in the last cycle that issued a
+	// correct-path uop (issue is out of order, so that need not be the
+	// youngest correct-path uop issued so far).
 	IssueYoungest uint64
 
 	// --- Commit stage ---

@@ -67,12 +67,20 @@ type Core struct {
 
 	divBusyUntil []int64 // non-pipelined divide units (the IntMulDiv pool)
 
-	now       int64
-	finished  bool
-	sample    core.CycleSample
-	accts     []Accountant
-	lastDisp  uint64
-	lastIssue uint64
+	now      int64
+	finished bool
+	sample   core.CycleSample
+	accts    []Accountant
+	// lastDisp/lastIssue seed each sample's DispatchYoungest/IssueYoungest:
+	// the youngest uop the stage processed in its last active cycle,
+	// correct-path whenever a correct-path uop went that cycle.
+	// lastCPDisp/lastCPIssue are the same for the last cycle in which a
+	// correct-path uop went; a squash restores lastDisp/lastIssue to them,
+	// so no squashed wrong-path seq outlives the wrong path.
+	lastDisp    uint64
+	lastIssue   uint64
+	lastCPDisp  uint64
+	lastCPIssue uint64
 
 	hasResolve bool
 	resolveAt  int64
@@ -213,6 +221,10 @@ func (c *Core) Step() bool {
 	// 1. Branch resolution: squash the wrong path and redirect fetch.
 	if c.hasResolve && c.now >= c.resolveAt {
 		c.squashWrongPath()
+		// The sample was seeded before the squash restored the youngest
+		// fields; a squashed seq must not take this cycle's attribution.
+		s.DispatchYoungest = c.lastDisp
+		s.IssueYoungest = c.lastIssue
 		s.HasSquash = true
 		s.SquashAfter = c.resolveSeq
 		c.fe.resolve(c.now)
@@ -654,11 +666,14 @@ func (c *Core) execute(s *core.CycleSample, slot int) {
 
 	if u.WrongPath {
 		s.IssueWrongN++
-		s.IssueYoungest = u.Seq
+		if s.IssueN == 0 {
+			s.IssueYoungest = u.Seq
+		}
 		return
 	}
 	s.IssueN++
 	s.IssueYoungest = u.Seq
+	c.lastCPIssue = u.Seq
 
 	if u.Op.IsVFP() {
 		s.VFPIssued++
@@ -699,6 +714,10 @@ func (c *Core) dispatch(s *core.CycleSample) {
 		if u.WrongPath {
 			s.DispatchWrongN++
 			c.Stats.WrongPathUops++
+			if s.DispatchN == 0 {
+				s.DispatchYoungest = u.Seq
+				c.lastDisp = u.Seq
+			}
 		} else {
 			s.DispatchN++
 			if u.Op.IsBranch() {
@@ -707,9 +726,10 @@ func (c *Core) dispatch(s *core.CycleSample) {
 			if mispredict {
 				c.Stats.Mispredicts++
 			}
+			s.DispatchYoungest = u.Seq
+			c.lastDisp = u.Seq
+			c.lastCPDisp = u.Seq
 		}
-		s.DispatchYoungest = u.Seq
-		c.lastDisp = u.Seq
 	}
 
 	s.FECause = c.fe.cause()
@@ -719,6 +739,8 @@ func (c *Core) dispatch(s *core.CycleSample) {
 // squashWrongPath removes wrong-path uops from the ROB, the reservation
 // stations and the decoded queue when a mispredicted branch resolves.
 func (c *Core) squashWrongPath() {
+	c.lastDisp = c.lastCPDisp
+	c.lastIssue = c.lastCPIssue
 	removed := c.rob.popTailWrongPath()
 	c.Stats.SquashedUops += uint64(removed)
 	if removed > 0 && len(c.pendingStores) > 0 {

@@ -535,3 +535,83 @@ func TestMemDisambiguationIgnoresOtherLines(t *testing.T) {
 		}
 	}
 }
+
+// TestYoungestStaysCorrectPath replays mispredicted branches down the
+// synthesized wrong path — mixed correct/wrong dispatch and issue cycles,
+// squashes, and the dead cycles after them — and checks the seqs the
+// speculative accountant attributes to: a sample's DispatchYoungest or
+// IssueYoungest may be a wrong-path seq only when no correct-path uop went
+// at that stage that cycle and a wrong-path-only cycle has happened there
+// since the last squash.
+func TestYoungestStaysCorrectPath(t *testing.T) {
+	// A multiply chain, each link with a dependent ALU uop, backs up the
+	// RS: the decoded queue then holds correct-path uops in front of
+	// wrong-path ones, and a link completing readies a pair, so one cycle
+	// dispatches or issues both paths. Every 12th uop is a branch.
+	var uops []trace.Uop
+	for i := 0; i < 600; i++ {
+		u := alu(uint64(i))
+		if i%2 == 0 {
+			u.Op = trace.OpMul
+			if i >= 2 {
+				u.Src[0] = uint64(i - 2)
+			}
+		} else {
+			u.Src[0] = uint64(i - 1)
+			if i%12 == 11 {
+				u.Op = trace.OpBranch
+				u.Taken = true
+				u.Target = u.PC + 64
+			}
+		}
+		uops = append(uops, u)
+	}
+	p := tinyParams()
+	p.WrongPath = WrongPathSynth
+	col := &collector{}
+	c := New(p, tinyHier(), alwaysWrong{}, trace.NewSlice(uops))
+	c.SetNoSkip(true)
+	c.Attach(col)
+	st := c.Run()
+	if st.SquashedUops == 0 {
+		t.Fatal("no wrong-path uops were squashed")
+	}
+
+	var mixedDisp, mixedIssue, deadAfterSquash int
+	dispWrong, issueWrong := false, false // a wrong-path-only cycle since the last squash
+	afterSquash := false
+	for _, s := range col.samples {
+		if s.HasSquash {
+			dispWrong, issueWrong, afterSquash = false, false, true
+		}
+		if s.DispatchN > 0 && s.DispatchWrongN > 0 {
+			mixedDisp++
+		}
+		if s.IssueN > 0 && s.IssueWrongN > 0 {
+			mixedIssue++
+		}
+		if s.DispatchN == 0 && s.DispatchWrongN > 0 {
+			dispWrong = true
+		}
+		if s.IssueN == 0 && s.IssueWrongN > 0 {
+			issueWrong = true
+		}
+		if s.DispatchN+s.DispatchWrongN+s.IssueN+s.IssueWrongN > 0 {
+			afterSquash = false
+		} else if afterSquash && !s.HasSquash {
+			deadAfterSquash++
+		}
+		if s.DispatchYoungest&wpBit != 0 && (s.DispatchN > 0 || !dispWrong) {
+			t.Fatalf("cycle %d: DispatchYoungest %#x is wrong-path (dispatched %d correct, %d wrong; squash=%v)",
+				s.Cycle, s.DispatchYoungest, s.DispatchN, s.DispatchWrongN, s.HasSquash)
+		}
+		if s.IssueYoungest&wpBit != 0 && (s.IssueN > 0 || !issueWrong) {
+			t.Fatalf("cycle %d: IssueYoungest %#x is wrong-path (issued %d correct, %d wrong; squash=%v)",
+				s.Cycle, s.IssueYoungest, s.IssueN, s.IssueWrongN, s.HasSquash)
+		}
+	}
+	if mixedDisp == 0 || mixedIssue == 0 || deadAfterSquash == 0 {
+		t.Fatalf("replay lacks a case: %d mixed dispatch, %d mixed issue, %d dead-after-squash cycles",
+			mixedDisp, mixedIssue, deadAfterSquash)
+	}
+}

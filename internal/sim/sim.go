@@ -130,12 +130,23 @@ func Run(m config.Machine, tr trace.Reader, opts Options) Result {
 	})
 }
 
+// pendingBound is the most uops the speculative scheme can hold buffered
+// at once on core p (core.Options.PendingBound), as DESIGN §5 derives it:
+// twice the attribution-target changes that can still own a live entry,
+// 10·ROB+4 since the youngest committed uop was dispatched plus
+// 6·ROB+4·FEQueue+2 in the current wrong-path episode, rounded up. The
+// measured peaks are 2.2–2.9·ROB.
+func pendingBound(p cpu.Params) int {
+	return 32*p.ROBSize + 8*p.FEQueueSize + 16
+}
+
 // RunCustom is Run with explicit accountant options; the ablation studies
 // use it to disable the paper's width normalization.
 func RunCustom(m config.Machine, tr trace.Reader, opts Options, acctOpts core.Options) Result {
 	if err := m.Validate(); err != nil {
 		panic(err)
 	}
+	acctOpts.PendingBound = pendingBound(m.Core)
 	m.Core.WrongPath = opts.WrongPath
 	hier := cache.NewHierarchy(m.Hierarchy)
 	pred := newPredictor(m)
@@ -271,8 +282,9 @@ func RunSMP(m config.Machine, n int, makeTrace func(tid int) trace.Reader, opts 
 		c.SetNoSkip(opts.NoSkip)
 		if opts.CPI {
 			cpiAccts[i] = core.NewMultiStageAccountant(core.Options{
-				Width:  m.Core.MinWidth(),
-				Scheme: opts.Scheme,
+				Width:        m.Core.MinWidth(),
+				Scheme:       opts.Scheme,
+				PendingBound: pendingBound(m.Core),
 			})
 			c.Attach(cpiAccts[i])
 		}
