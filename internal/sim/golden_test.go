@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -22,34 +23,148 @@ var update = flag.Bool("update", false, "rewrite testdata/digests.json from the 
 
 const digestFile = "testdata/digests.json"
 
-// TestResultDigests pins the SHA-256 of export.EncodeResult for a corpus of
-// cells, so a change to any result byte fails here. The corpus holds the
-// wrong-path study's speculative scheme over synthesized wrong paths, for
-// a branchy and a memory-bound profile on every machine, with every
-// optional CPI-side stack. A deliberate change of results comes with a
-// sim.SchemaVersion bump or a rerun with -update, explained in CHANGES.md.
-func TestResultDigests(t *testing.T) {
-	got := map[string]string{}
+// Every single-core cell runs goldenUops uops, the first goldenWarmup of
+// them without accounting.
+const (
+	goldenUops   = 40_000
+	goldenWarmup = 10_000
+)
+
+// goldenCell is one pinned simulation; run returns the bytes whose digest
+// is pinned.
+type goldenCell struct {
+	name string
+	run  func(t *testing.T) []byte
+}
+
+func encode(t *testing.T, res *sim.Result, wl string) []byte {
+	t.Helper()
+	b, err := export.EncodeResult(res, wl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+func machine(t *testing.T, name string) config.Machine {
+	t.Helper()
+	m, err := config.ByName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// specCells: a branchy and a memory-bound profile on every machine with
+// every optional CPI-side stack, under the oracle scheme without wrong-path
+// uops (the paper's primary setup) and under each of the three schemes over
+// synthesized wrong paths (the §III-B study).
+func specCells() []goldenCell {
+	type variant struct {
+		scheme core.WrongPathScheme
+		wp     cpu.WrongPathMode
+		label  string
+	}
+	variants := []variant{
+		{core.WrongPathOracle, cpu.WrongPathNone, "oracle/none"},
+		{core.WrongPathOracle, cpu.WrongPathSynth, "oracle/synth"},
+		{core.WrongPathSimple, cpu.WrongPathSynth, "simple/synth"},
+		{core.WrongPathSpeculative, cpu.WrongPathSynth, "speculative/synth"},
+	}
+	var cells []goldenCell
 	for _, wl := range []string{"deepsjeng", "mcf"} {
-		prof, ok := workload.SPECProfile(wl)
-		if !ok {
-			t.Fatalf("unknown profile %q", wl)
-		}
 		for _, mn := range []string{"BDW", "KNL", "SKX"} {
-			m, err := config.ByName(mn)
-			if err != nil {
-				t.Fatal(err)
+			for _, v := range variants {
+				cells = append(cells, goldenCell{wl + "/" + mn + "/" + v.label, func(t *testing.T) []byte {
+					prof, ok := workload.SPECProfile(wl)
+					if !ok {
+						t.Fatalf("unknown profile %q", wl)
+					}
+					opts := sim.Options{CPI: true, Fetch: true, MemDepth: true, Structural: true,
+						Scheme: v.scheme, WrongPath: v.wp, WarmupUops: goldenWarmup}
+					res := sim.Run(machine(t, mn), trace.NewLimit(workload.NewGenerator(prof), goldenUops), opts)
+					return encode(t, &res, wl)
+				}})
 			}
-			opts := sim.Options{CPI: true, Fetch: true, MemDepth: true, Structural: true,
-				Scheme: core.WrongPathSpeculative, WrongPath: cpu.WrongPathSynth, WarmupUops: 10_000}
-			res := sim.Run(m, trace.NewLimit(workload.NewGenerator(prof), 40_000), opts)
-			b, err := export.EncodeResult(&res, wl)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sum := sha256.Sum256(b)
-			got[wl+"/"+mn+"/speculative/synth"] = hex.EncodeToString(sum[:])
 		}
+	}
+	return cells
+}
+
+// kernelCells: one GEMM and one convolution kernel with CPI and FLOPS stacks
+// on the two vector machines, in each machine's code style. They reach the
+// FLOPS stack's oldest-waiting-VFP signals (Table III).
+func kernelCells() []goldenCell {
+	var cells []goldenCell
+	for _, mn := range []string{"KNL", "SKX"} {
+		style := workload.StyleSKX
+		if mn == "KNL" {
+			style = workload.StyleKNL
+		}
+		kernels := []struct {
+			kind string
+			mk   func(lanes int) trace.Reader
+		}{
+			{"gemm", func(lanes int) trace.Reader {
+				return workload.NewGemm(style, workload.GemmTrain()[0], lanes, 1, 0)
+			}},
+			{"conv", func(lanes int) trace.Reader {
+				return workload.NewConv(style, workload.ConvTrain()[1], workload.ConvFwd, lanes, 1, 0)
+			}},
+		}
+		for _, k := range kernels {
+			cells = append(cells, goldenCell{k.kind + "/" + mn + "/flops", func(t *testing.T) []byte {
+				m := machine(t, mn)
+				opts := sim.Options{CPI: true, FLOPS: true, Structural: true, WarmupUops: goldenWarmup}
+				res := sim.Run(m, trace.NewLimit(k.mk(m.Core.VectorLanes), goldenUops), opts)
+				return encode(t, &res, k.kind)
+			}})
+		}
+	}
+	return cells
+}
+
+// smpCells: a barrier-dense 3-core SKX convolution gang whose threads run at
+// skewed paces, over one and over four L3 slices. The digest covers the
+// averaged stacks and every core's statistics.
+func smpCells() []goldenCell {
+	const cores, uops = 3, 20_000
+	var cells []goldenCell
+	for _, slices := range []int{1, 4} {
+		cells = append(cells, goldenCell{fmt.Sprintf("conv-smp%d/SKX/slices%d", cores, slices), func(t *testing.T) []byte {
+			m := machine(t, "SKX")
+			m.Hierarchy.L3Slices = slices
+			cfg := workload.ConvTrain()[6]
+			opts := sim.Options{CPI: true, FLOPS: true, WarmupUops: 5_000}
+			res := sim.RunSMP(m, cores, func(tid int) trace.Reader {
+				c := workload.NewConv(workload.StyleSKX, cfg, workload.ConvFwd, m.Core.VectorLanes,
+					uint64(tid)*977+13, 5_000)
+				c.SetExtraOverhead(tid % 3)
+				return trace.NewLimit(c, uops)
+			}, opts)
+			if res.Err != nil {
+				t.Fatal(res.Err)
+			}
+			b, err := json.Marshal(res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return b
+		}})
+	}
+	return cells
+}
+
+// TestResultDigests pins the SHA-256 of each cell's encoded result, so a
+// change to any result byte fails here. A deliberate change of results
+// comes with a sim.SchemaVersion bump or a rerun with -update, explained in
+// CHANGES.md.
+func TestResultDigests(t *testing.T) {
+	cells := append(append(specCells(), kernelCells()...), smpCells()...)
+	got := make(map[string]string, len(cells))
+	for _, c := range cells {
+		sum := sha256.Sum256(c.run(t))
+		got[c.name] = hex.EncodeToString(sum[:])
 	}
 
 	if *update {
