@@ -43,24 +43,32 @@ func sumFloats(xs []float64) float64 {
 	return t
 }
 
-// debugCheckSample validates the pipeline→accountant sample contract.
+// debugCheckSample validates the pipeline→accountant sample contract. It
+// runs on every sample, so each check boxes its message arguments only when
+// it fails.
 func debugCheckSample(s *CycleSample) {
-	invariant.Assertf(s.Repeat >= 0, "CycleSample.Repeat = %d at cycle %d", s.Repeat, s.Cycle)
-	invariant.Assertf(s.FetchN >= 0 && s.DispatchN >= 0 && s.DispatchWrongN >= 0 &&
-		s.IssueN >= 0 && s.IssueWrongN >= 0 && s.CommitN >= 0,
-		"negative throughput count in sample at cycle %d", s.Cycle)
-	invariant.Assertf(s.VFPIssued >= 0 && s.VFPActiveLanes >= 0 && s.VFPFlops >= 0 && s.VUNonVFP >= 0,
-		"negative VFP count in sample at cycle %d", s.Cycle)
+	if s.Repeat < 0 {
+		invariant.Failf("CycleSample.Repeat = %d at cycle %d", s.Repeat, s.Cycle)
+	}
+	if s.FetchN < 0 || s.DispatchN < 0 || s.DispatchWrongN < 0 ||
+		s.IssueN < 0 || s.IssueWrongN < 0 || s.CommitN < 0 {
+		invariant.Failf("negative throughput count in sample at cycle %d", s.Cycle)
+	}
+	if s.VFPIssued < 0 || s.VFPActiveLanes < 0 || s.VFPFlops < 0 || s.VUNonVFP < 0 {
+		invariant.Failf("negative VFP count in sample at cycle %d", s.Cycle)
+	}
 	if s.Repeat > 1 {
 		// A batched sample stands for Repeat provably idle cycles: the
 		// accountants multiply one cycle's weights by Repeat, which is only
 		// sound when nothing moved and no events fired (see CycleSample.Repeat).
-		invariant.Assertf(s.FetchN == 0 && s.DispatchN == 0 && s.DispatchWrongN == 0 &&
-			s.IssueN == 0 && s.IssueWrongN == 0 && s.CommitN == 0 &&
-			s.VFPIssued == 0 && s.VFPActiveLanes == 0 && s.VFPFlops == 0,
-			"batched sample (Repeat=%d) at cycle %d has nonzero throughput", s.Repeat, s.Cycle)
-		invariant.Assertf(!s.HasCommit && !s.HasSquash,
-			"batched sample (Repeat=%d) at cycle %d carries commit/squash events", s.Repeat, s.Cycle)
+		if s.FetchN != 0 || s.DispatchN != 0 || s.DispatchWrongN != 0 ||
+			s.IssueN != 0 || s.IssueWrongN != 0 || s.CommitN != 0 ||
+			s.VFPIssued != 0 || s.VFPActiveLanes != 0 || s.VFPFlops != 0 {
+			invariant.Failf("batched sample (Repeat=%d) at cycle %d has nonzero throughput", s.Repeat, s.Cycle)
+		}
+		if s.HasCommit || s.HasSquash {
+			invariant.Failf("batched sample (Repeat=%d) at cycle %d carries commit/squash events", s.Repeat, s.Cycle)
+		}
 	}
 }
 
@@ -122,12 +130,15 @@ func (a *FetchAccountant) debugConserve() {
 // FLOPS decomposition sum to exactly 1: at most k uops issue, each uop uses
 // at most v lanes, and each lane performs at most 2 operations (an FMA).
 func (a *FLOPSAccountant) debugCheckVFP(s *CycleSample) {
-	invariant.Assertf(s.VFPIssued <= a.k,
-		"VFPIssued = %d exceeds k = %d at cycle %d", s.VFPIssued, a.k, s.Cycle)
-	invariant.Assertf(s.VFPActiveLanes <= s.VFPIssued*a.v,
-		"VFPActiveLanes = %d exceeds n*v = %d at cycle %d", s.VFPActiveLanes, s.VFPIssued*a.v, s.Cycle)
-	invariant.Assertf(s.VFPFlops <= 2*s.VFPActiveLanes,
-		"VFPFlops = %d exceeds 2*lanes = %d at cycle %d", s.VFPFlops, 2*s.VFPActiveLanes, s.Cycle)
+	if s.VFPIssued > a.k {
+		invariant.Failf("VFPIssued = %d exceeds k = %d at cycle %d", s.VFPIssued, a.k, s.Cycle)
+	}
+	if s.VFPActiveLanes > s.VFPIssued*a.v {
+		invariant.Failf("VFPActiveLanes = %d exceeds n*v = %d at cycle %d", s.VFPActiveLanes, s.VFPIssued*a.v, s.Cycle)
+	}
+	if s.VFPFlops > 2*s.VFPActiveLanes {
+		invariant.Failf("VFPFlops = %d exceeds 2*lanes = %d at cycle %d", s.VFPFlops, 2*s.VFPActiveLanes, s.Cycle)
+	}
 }
 
 // debugConserve re-proves conservation for the FLOPS stack.

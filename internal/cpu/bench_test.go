@@ -8,6 +8,8 @@ import (
 	"perfstacks/internal/config"
 	"perfstacks/internal/core"
 	"perfstacks/internal/cpu"
+	"perfstacks/internal/trace"
+	"perfstacks/internal/workload"
 )
 
 // benchCore builds a warmed-up core streaming independent ALU uops. The
@@ -42,3 +44,61 @@ func BenchmarkCoreStep(b *testing.B) {
 		}
 	}
 }
+
+// TestStepZeroAlloc pins the hot loop's allocation-free steady state: once
+// a core is warm, Core.Step allocates nothing — no per-cycle staging, no
+// wakeup-list growth, no squash bookkeeping. The branchy profile runs with
+// synthesized wrong paths under a real predictor, so the measured window
+// holds mispredicts and their squashes. The trace is generated up front:
+// the generator's own lazily built tables are not the core's to account.
+// A counting sink takes the samples; the accountants' Cycle methods have
+// their own gates, and under simdebug their assertions box arguments.
+func TestStepZeroAlloc(t *testing.T) {
+	prof, ok := workload.SPECProfile("deepsjeng")
+	if !ok {
+		t.Fatal("unknown profile deepsjeng")
+	}
+	uops := make([]trace.Uop, 150_000)
+	gen := workload.NewGenerator(prof)
+	for i := range uops {
+		if uops[i], ok = gen.Next(); !ok {
+			t.Fatal("generator drained")
+		}
+	}
+	for _, m := range []config.Machine{config.BDW(), config.KNL(), config.SKX()} {
+		t.Run(m.Name, func(t *testing.T) {
+			p := m.Core
+			p.WrongPath = cpu.WrongPathSynth
+			c := cpu.New(p, cache.NewHierarchy(m.Hierarchy), bpred.NewTournament(m.Bpred),
+				trace.NewSlice(uops))
+			var sink sampleCount
+			c.Attach(&sink)
+			for i := 0; i < 20_000; i++ {
+				c.Step()
+			}
+			squashed := c.Stats.SquashedUops
+			allocs := testing.AllocsPerRun(20, func() {
+				for i := 0; i < 1000; i++ {
+					if !c.Step() {
+						t.Fatal("trace drained inside the measured window")
+					}
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("Core.Step allocates: %v allocs per 1000 steps", allocs)
+			}
+			if sink == 0 {
+				t.Error("no samples emitted")
+			}
+			if c.Stats.SquashedUops == squashed {
+				t.Error("the measured window holds no wrong-path squash")
+			}
+		})
+	}
+}
+
+// sampleCount is an Accountant that only counts samples.
+type sampleCount int
+
+//simlint:partial counts samples, batched (Repeat > 1) or not; it measures no cycles
+func (n *sampleCount) Cycle(*core.CycleSample) { *n++ }

@@ -7,6 +7,7 @@ import (
 	"perfstacks/internal/bpred"
 	"perfstacks/internal/cache"
 	"perfstacks/internal/core"
+	"perfstacks/internal/invariant"
 	"perfstacks/internal/trace"
 )
 
@@ -58,7 +59,19 @@ type Core struct {
 	sb   *scoreboard
 	hier *cache.Hierarchy
 
-	rs []int // ROB slot indices awaiting issue, in age order
+	// rs holds the dispatched, unissued uops in age order. rsVFP counts
+	// its VFP entries.
+	rs    []rsEntry
+	rsVFP int
+
+	// Wakeup state of each uop in rs, indexed by ROB slot. readyAt is
+	// notReady while the uop waits on an unissued producer, linked through
+	// waitNext into that producer's scoreboard wait list; once every
+	// producer has issued it is the latest producer completion time. A
+	// producer's completion time is fixed when it issues, so the cached
+	// value stays exact until the uop leaves the RS.
+	readyAt  []int64
+	waitNext []int32
 
 	// pendingStores tracks in-flight stores for memory disambiguation:
 	// a load may not issue while an older store to the same line is not
@@ -126,13 +139,16 @@ func New(p Params, hier *cache.Hierarchy, pred bpred.Predictor, tr trace.Reader)
 	if nDiv < 1 {
 		nDiv = 1
 	}
+	r := newROB(p.ROBSize)
 	return &Core{
 		p:            p,
 		fe:           newFrontend(&p, tr, hier, pred),
-		rob:          newROB(p.ROBSize),
+		rob:          r,
 		sb:           newScoreboard(p.ROBSize),
 		hier:         hier,
-		rs:           make([]int, 0, p.RSSize),
+		rs:           make([]rsEntry, 0, p.RSSize),
+		readyAt:      make([]int64, len(r.u)),
+		waitNext:     make([]int32, len(r.u)),
 		divBusyUntil: make([]int64, nDiv),
 	}
 }
@@ -312,11 +328,11 @@ func (c *Core) nextEvent() int64 {
 		consider(c.rob.doneAt[h])
 	}
 	hasDiv := false
-	for _, slot := range c.rs {
-		if c.rob.u[slot].Op == trace.OpDiv {
+	for _, e := range c.rs {
+		if e.op == trace.OpDiv {
 			hasDiv = true
 		}
-		for _, src := range c.rob.u[slot].Src {
+		for _, src := range c.rob.u[e.slot].Src {
 			if src == trace.NoProducer {
 				continue
 			}
@@ -405,74 +421,105 @@ type portsInUse struct {
 	alu, muldiv, load, store, vfp int
 }
 
-// issue scans the reservation stations oldest-first, issuing ready uops to
-// available ports, and gathers the issue-stage and VFP accounting signals.
+// rsEntry is one reservation-station entry: the ROB slot of a dispatched,
+// unissued uop and its op, kept beside the slot so the select walk reads one
+// dense array. The entry's readiness lives in Core.readyAt.
+type rsEntry struct {
+	slot int32
+	op   trace.Op
+}
+
+// notReady is Core.readyAt's mark for a uop waiting on an unissued producer.
+const notReady = int64(math.MaxInt64)
+
+// issue selects ready uops oldest-first and issues them to available ports,
+// and gathers the issue-stage and VFP accounting signals. Readiness comes
+// from the wakeup state (await/wake), so an entry costs one compare; blame
+// is computed only where a signal consumes it: for the first non-ready
+// entry (Table II issue column) and the oldest waiting VFP entry (Table
+// III). Once the issue width is spent the rest of the RS stays as it is.
 func (c *Core) issue(s *core.CycleSample) {
+	if invariant.Enabled {
+		c.checkWakeup()
+	}
+	var ref fullScan
 	var ports portsInUse
 	issued := 0
-	kept := c.rs[:0]
+	rs, readyAt, now, width := c.rs, c.readyAt, c.now, c.p.IssueWidth
+	kept := 0
 	foundNonReady := false
 	var oldestVFPSeen bool
 
-	for _, slot := range c.rs {
-		op := c.rob.u[slot].Op
-
-		if issued >= c.p.IssueWidth {
-			kept = append(kept, slot)
-			c.noteWaiting(s, op, &oldestVFPSeen, core.ProdNone, false)
-			continue
+	i := 0
+	for ; i < len(rs) && issued < width; i++ {
+		e := rs[i]
+		slot := int(e.slot)
+		if invariant.Enabled {
+			ref.scan(c, slot)
 		}
-
-		readyAt, allIssued, blamed := c.srcScan(slot)
-		if !allIssued || readyAt > c.now {
+		cls, isLoad := core.ProdNone, false
+		if readyAt[slot] > now {
 			// Not ready: record the first non-ready entry's producer class
-			// (Table II issue column) and the oldest waiting VFP uop
-			// (Table III).
-			var cls core.ProdClass
-			var isLoad bool
-			var depth uint8
-			if blamed != trace.NoProducer {
-				cls, isLoad, depth = c.sb.producerClassDepth(blamed)
-			} else {
-				cls = core.ProdDepend
+			// and, through noteWaiting, the oldest waiting VFP uop's.
+			if !foundNonReady || (!oldestVFPSeen && e.op.IsVFP()) {
+				var depth uint8
+				cls, isLoad, depth = c.blame(slot)
+				if !foundNonReady {
+					foundNonReady = true
+					s.FirstNonReadyClass = cls
+					s.FirstNonReadyMissDepth = depth
+				}
 			}
-			if !foundNonReady {
-				foundNonReady = true
-				s.FirstNonReadyClass = cls
-				s.FirstNonReadyMissDepth = depth
-			}
-			c.noteWaiting(s, op, &oldestVFPSeen, cls, isLoad)
-			kept = append(kept, slot)
-			continue
-		}
-
-		if c.p.MemDisambiguation && op == trace.OpLoad && c.memConflict(slot) {
+		} else if c.p.MemDisambiguation && e.op == trace.OpLoad && c.memConflict(slot) {
 			// Load blocked behind an older in-flight store to its line: the
 			// issue-only "memory address conflict" structural stall.
 			if !s.IssueBlockedPort && !s.IssueBlockedMemOrder {
 				s.IssueBlockedMemOrder = true
 			}
-			c.noteWaiting(s, op, &oldestVFPSeen, core.ProdNone, false)
-			kept = append(kept, slot)
-			continue
-		}
-
-		if !c.portFree(&ports, op) {
+		} else if !c.portFree(&ports, e.op) {
 			// Ready but structurally blocked: stays in the RS; if it is the
 			// oldest waiting entry the stall is structural (ProdNone).
 			if !s.IssueBlockedPort && !s.IssueBlockedMemOrder {
 				s.IssueBlockedPort = true
 			}
-			c.noteWaiting(s, op, &oldestVFPSeen, core.ProdNone, false)
-			kept = append(kept, slot)
+		} else {
+			c.execute(s, slot)
+			if e.op.IsVFP() {
+				c.rsVFP--
+			}
+			issued++
 			continue
 		}
-
-		c.execute(s, slot)
-		issued++
+		c.noteWaiting(s, e.op, &oldestVFPSeen, cls, isLoad)
+		if invariant.Enabled {
+			ref.kept(e.op)
+		}
+		rs[kept] = e
+		kept++
 	}
-	c.rs = kept
 
+	if i < len(rs) {
+		// Issue width is spent and the tail stays unexamined. Of its
+		// signals only the oldest waiting VFP uop's can still be open: it is
+		// then the tail's first VFP entry, waiting structurally.
+		if !oldestVFPSeen && c.rsVFP > 0 {
+			for _, e := range rs[i:] {
+				if e.op.IsVFP() {
+					c.noteWaiting(s, e.op, &oldestVFPSeen, core.ProdNone, false)
+					break
+				}
+			}
+		}
+		if kept < i {
+			copy(rs[kept:], rs[i:])
+		}
+		kept += len(rs) - i
+	}
+	c.rs = rs[:kept]
+
+	if invariant.Enabled {
+		ref.check(c, s)
+	}
 	s.RSEmpty = len(c.rs) == 0
 	c.lastIssue = s.IssueYoungest
 }
@@ -492,18 +539,25 @@ func (c *Core) noteWaiting(s *core.CycleSample, op trace.Op, oldestSeen *bool, c
 	s.OldestVFPWaitsLoad = producerIsLoad
 }
 
-// srcScan walks the slot's source operands once, fusing the two passes the
-// issue loop used to make (readiness check, then blame assignment). It
-// returns the latest ready time over issued producers, whether every
-// producer has issued, and the first source that is not available this
-// cycle — the blamed producer of Table II's issue column (trace.NoProducer
-// when all sources are available). The blame rule is identical to the old
-// blamedProducer: first operand, in order, with an unissued or
-// still-executing producer. The walk touches only the ROB's dense uop array
-// and the scoreboard's parallel done/meta columns.
-func (c *Core) srcScan(slot int) (latest int64, allIssued bool, blamed uint64) {
-	blamed = trace.NoProducer
-	allIssued = true
+// blame classifies the producer a non-ready slot waits on, Table II's
+// blamed instruction for the issue column: whether it is a load, and its
+// miss depth.
+func (c *Core) blame(slot int) (core.ProdClass, bool, uint8) {
+	if _, _, blamed := c.srcScan(slot); blamed != trace.NoProducer {
+		return c.sb.producerClassDepth(blamed)
+	}
+	return core.ProdDepend, false, 0
+}
+
+// srcScan walks the slot's source operands in order. It returns the latest
+// completion time over the producers before the first unissued one, that
+// unissued producer (waitOn, trace.NoProducer when every producer has
+// issued), and the first source not available this cycle — the blamed
+// producer of Table II's issue column (trace.NoProducer when all sources are
+// available): the first operand, in order, with an unissued or
+// still-executing producer.
+func (c *Core) srcScan(slot int) (latest int64, waitOn, blamed uint64) {
+	waitOn, blamed = trace.NoProducer, trace.NoProducer
 	for _, src := range c.rob.u[slot].Src {
 		if src == trace.NoProducer {
 			continue
@@ -513,7 +567,7 @@ func (c *Core) srcScan(slot int) (latest int64, allIssued bool, blamed uint64) {
 			// An unissued producer makes the entry non-ready regardless of
 			// the remaining operands, and blame (first non-available source)
 			// is already decided, so the scan can stop here.
-			allIssued = false
+			waitOn = src
 			if blamed == trace.NoProducer {
 				blamed = src
 			}
@@ -527,6 +581,46 @@ func (c *Core) srcScan(slot int) (latest int64, allIssued bool, blamed uint64) {
 		}
 	}
 	return
+}
+
+// await settles a slot's wakeup state: it waits on its first unissued
+// producer, linked into that producer's wait list, or — every producer
+// issued — caches the latest producer completion time.
+func (c *Core) await(slot int) {
+	latest, waitOn, _ := c.srcScan(slot)
+	if waitOn == trace.NoProducer {
+		c.readyAt[slot] = latest
+		return
+	}
+	head := &c.sb.wait[c.sb.idx(waitOn)]
+	c.waitNext[slot] = *head
+	*head = int32(slot) + 1
+	c.readyAt[slot] = notReady
+}
+
+// wake re-settles every slot waiting on producer seq, which has just
+// issued. A woken slot either caches its completion time or moves on to
+// wait for its next unissued producer.
+func (c *Core) wake(seq uint64) {
+	head := &c.sb.wait[c.sb.idx(seq)]
+	next := *head
+	*head = 0
+	for next != 0 {
+		slot := int(next - 1)
+		next = c.waitNext[slot]
+		c.await(slot)
+	}
+}
+
+// unwait unlinks a waiting slot that is being squashed from its producer's
+// wait list.
+func (c *Core) unwait(slot int) {
+	_, waitOn, _ := c.srcScan(slot)
+	p := &c.sb.wait[c.sb.idx(waitOn)]
+	for *p != int32(slot)+1 {
+		p = &c.waitNext[*p-1]
+	}
+	*p = c.waitNext[slot]
 }
 
 // portFree checks and claims a functional-unit port for op.
@@ -657,6 +751,7 @@ func (c *Core) execute(s *core.CycleSample, slot int) {
 	c.rob.flags[slot] |= robIssued
 	c.rob.doneAt[slot] = doneAt
 	c.sb.issue(u.Seq, doneAt, c.rob.lat[slot], miss, missDepth)
+	c.wake(u.Seq)
 
 	if c.rob.flags[slot]&robMispredict != 0 {
 		c.hasResolve = true
@@ -704,7 +799,11 @@ func (c *Core) dispatch(s *core.CycleSample) {
 		}
 		slot := c.rob.push(u, c.p.latency(u.Op), mispredict)
 		c.sb.allocate(u.Seq, u.Op == trace.OpLoad)
-		c.rs = append(c.rs, slot)
+		c.rs = append(c.rs, rsEntry{slot: int32(slot), op: u.Op})
+		if u.Op.IsVFP() {
+			c.rsVFP++
+		}
+		c.await(slot)
 		if c.p.MemDisambiguation && u.Op == trace.OpStore {
 			c.pendingStores = append(c.pendingStores, pendingStore{
 				seq: u.Seq, line: u.Addr >> 6,
@@ -755,11 +854,17 @@ func (c *Core) squashWrongPath() {
 	}
 	if removed > 0 {
 		kept := c.rs[:0]
-		for _, slot := range c.rs {
-			if c.rob.u[slot].WrongPath {
+		for _, e := range c.rs {
+			if !c.rob.u[e.slot].WrongPath {
+				kept = append(kept, e)
 				continue
 			}
-			kept = append(kept, slot)
+			if c.readyAt[e.slot] == notReady {
+				c.unwait(int(e.slot))
+			}
+			if e.op.IsVFP() {
+				c.rsVFP--
+			}
 		}
 		c.rs = kept
 	}

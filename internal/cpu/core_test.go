@@ -316,6 +316,49 @@ func TestVFPSampleSignals(t *testing.T) {
 	}
 }
 
+// TestOldestVFPInUnexaminedTail pins Table III's signals for a VFP uop the
+// issue walk never reaches: while a missing load holds it and five ALU uops
+// back, the FMA waits on the load; the cycle the load completes, the older
+// ALU uops spend the issue width and the FMA stays behind them, a
+// structural wait (ProdNone).
+func TestOldestVFPInUnexaminedTail(t *testing.T) {
+	load := alu(0)
+	load.Op = trace.OpLoad
+	load.Addr = 0x10_0000
+	uops := []trace.Uop{load}
+	for i := uint64(1); i <= 5; i++ {
+		uops = append(uops, alu(i, 0))
+	}
+	fma := alu(6, 0)
+	fma.Op = trace.OpFMA
+	fma.VecLanes = 8
+	uops = append(uops, fma)
+
+	p := tinyParams()
+	c := New(p, tinyHier(), bpred.Perfect{}, trace.NewSlice(uops))
+	c.SetNoSkip(true)
+	col := &collector{}
+	c.Attach(col)
+	c.Run()
+
+	var waitedOnLoad, behindWidth bool
+	for _, s := range col.samples {
+		if s.VFPInRS && s.OldestVFPClass == core.ProdDCache && s.OldestVFPWaitsLoad {
+			waitedOnLoad = true
+		}
+		if s.IssueN == p.IssueWidth && s.VFPIssued == 0 && s.VFPInRS {
+			if s.OldestVFPClass != core.ProdNone || s.OldestVFPWaitsLoad {
+				t.Fatalf("cycle %d: FMA behind a spent issue width reads %v (load %v), want a structural wait",
+					s.Cycle, s.OldestVFPClass, s.OldestVFPWaitsLoad)
+			}
+			behindWidth = true
+		}
+	}
+	if !waitedOnLoad || !behindWidth {
+		t.Fatalf("replay lacks a case: FMA waited on the load %v, sat behind a spent width %v", waitedOnLoad, behindWidth)
+	}
+}
+
 func TestWrongPathSynthSquashes(t *testing.T) {
 	var uops []trace.Uop
 	rng := uint64(7)

@@ -186,28 +186,36 @@ func TestScoreboardUnissuedNotReady(t *testing.T) {
 
 func TestScoreboardProducerClass(t *testing.T) {
 	sb := newScoreboard(16)
-	sb.allocate(1, true) // load
+	sb.allocate(1, true) // load that missed to depth 3
 	sb.issue(1, 500, 200, true, 3)
-	if cls, isLoad := sb.producerClass(1); cls != core.ProdDCache || !isLoad {
-		t.Fatalf("missing load class = %v/%v", cls, isLoad)
+	if cls, isLoad, depth := sb.producerClassDepth(1); cls != core.ProdDCache || !isLoad || depth != 3 {
+		t.Fatalf("missing load class = %v/%v/%d", cls, isLoad, depth)
 	}
 	sb.allocate(2, true) // load that hit
 	sb.issue(2, 10, 4, false, 0)
-	if cls, isLoad := sb.producerClass(2); cls != core.ProdLongLat || !isLoad {
-		t.Fatalf("hit load class = %v/%v", cls, isLoad)
+	if cls, isLoad, depth := sb.producerClassDepth(2); cls != core.ProdLongLat || !isLoad || depth != 0 {
+		t.Fatalf("hit load class = %v/%v/%d", cls, isLoad, depth)
 	}
 	sb.allocate(3, false)
 	sb.issue(3, 10, 5, false, 0)
-	if cls, _ := sb.producerClass(3); cls != core.ProdLongLat {
-		t.Fatalf("mul class = %v", cls)
+	if cls, isLoad, depth := sb.producerClassDepth(3); cls != core.ProdLongLat || isLoad || depth != 0 {
+		t.Fatalf("mul class = %v/%v/%d", cls, isLoad, depth)
 	}
 	sb.allocate(4, false)
 	sb.issue(4, 10, 1, false, 0)
-	if cls, _ := sb.producerClass(4); cls != core.ProdDepend {
-		t.Fatalf("alu class = %v", cls)
+	if cls, isLoad, depth := sb.producerClassDepth(4); cls != core.ProdDepend || isLoad || depth != 0 {
+		t.Fatalf("alu class = %v/%v/%d", cls, isLoad, depth)
 	}
-	if cls, _ := sb.producerClass(trace.NoProducer); cls != core.ProdNone {
-		t.Fatalf("no-producer class = %v", cls)
+	sb.allocate(5, true) // load not yet issued: charged as a load latency
+	if cls, isLoad, depth := sb.producerClassDepth(5); cls != core.ProdLongLat || !isLoad || depth != 0 {
+		t.Fatalf("unissued load class = %v/%v/%d", cls, isLoad, depth)
+	}
+	if cls, isLoad, depth := sb.producerClassDepth(trace.NoProducer); cls != core.ProdNone || isLoad || depth != 0 {
+		t.Fatalf("no-producer class = %v/%v/%d", cls, isLoad, depth)
+	}
+	sb.retire(4) // committed producers are never blamed
+	if cls, isLoad, depth := sb.producerClassDepth(1); cls != core.ProdNone || isLoad || depth != 0 {
+		t.Fatalf("committed producer class = %v/%v/%d", cls, isLoad, depth)
 	}
 }
 

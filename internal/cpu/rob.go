@@ -18,7 +18,7 @@ const (
 
 // rob is a ring-buffer reorder buffer laid out as a structure of arrays: the
 // uop payloads, latencies, completion times and status flags live in dense
-// parallel slices, so the issue loop's hot walks (srcScan over u[slot].Src,
+// parallel slices, so the pipeline's hot walks (srcScan over u[slot].Src,
 // the per-slot flag checks) touch narrow homogeneous arrays instead of
 // striding over one wide struct. The ring is sized to the next power of two
 // above the architectural capacity so the per-uop slot arithmetic is a mask
@@ -138,15 +138,17 @@ const (
 // scoreboard tracks producer readiness by sequence number. Correct-path and
 // wrong-path uops have separate dense counter spaces; each space is a ring
 // sized to the next power of two above the in-flight window, so the per-seq
-// slot lookup is a mask rather than a division (idx() is the single hottest
-// call in the issue loop). The two spaces share one pair of parallel arrays
-// — completion times and packed status bytes — with the wrong-path half at
-// offset size, so idx() is branch-free on the wpBit. Producers older than
-// the in-flight window have committed and are always ready.
+// slot lookup is a mask rather than a division (idx() runs on every
+// producer probe). The two spaces share parallel arrays — completion
+// times, packed status bytes and the heads of the wait lists of RS entries
+// blocked on the producer (Core.wake) — with the wrong-path half at offset
+// size, so idx() is branch-free on the wpBit. Producers older than the
+// in-flight window have committed and are always ready.
 type scoreboard struct {
 	done     []int64 // len 2*size: correct-path space, then wrong-path space
 	meta     []uint8
-	mask     uint64 // size - 1
+	wait     []int32 // head of the producer's wait list: consumer ROB slot+1, 0 = none
+	mask     uint64  // size - 1
 	size     uint64
 	oldestCP uint64 // sequence numbers below this have committed
 }
@@ -159,6 +161,7 @@ func newScoreboard(window int) *scoreboard {
 	return &scoreboard{
 		done: make([]int64, 2*size),
 		meta: make([]uint8, 2*size),
+		wait: make([]int32, 2*size),
 		mask: uint64(size - 1),
 		size: uint64(size),
 	}
@@ -211,14 +214,10 @@ func (s *scoreboard) readyAt(seq uint64) (int64, bool) {
 	return s.done[i], true
 }
 
-// producerClass classifies a producer for issue-stage accounting (Table II,
-// issue column): the producer of the first non-ready instruction.
-func (s *scoreboard) producerClass(seq uint64) (cls core.ProdClass, isLoad bool) {
-	cls, isLoad, _ = s.producerClassDepth(seq)
-	return cls, isLoad
-}
-
-// producerClassDepth additionally reports the producer's miss depth.
+// producerClassDepth classifies a producer for issue-stage accounting
+// (Table II, issue column): the producer of the first non-ready
+// instruction. It also reports whether the producer is a load and, for a
+// missing load, its miss depth.
 func (s *scoreboard) producerClassDepth(seq uint64) (cls core.ProdClass, isLoad bool, depth uint8) {
 	if seq == trace.NoProducer || (seq&wpBit == 0 && seq < s.oldestCP) {
 		return core.ProdNone, false, 0

@@ -10,6 +10,7 @@ import (
 	"perfstacks/internal/config"
 	"perfstacks/internal/core"
 	"perfstacks/internal/cpu"
+	"perfstacks/internal/stats"
 	"perfstacks/internal/trace"
 	"perfstacks/internal/workload"
 )
@@ -22,12 +23,14 @@ type OverheadResult struct {
 	Uops        uint64
 	BaseSeconds float64
 	AcctSeconds float64
-	// OverheadPct is (acct - base) / base * 100.
+	// OverheadPct is the median, over the run pairs, of
+	// (acct - base) / base * 100. BaseSeconds and AcctSeconds are the
+	// median run times.
 	OverheadPct float64
 }
 
 // Overhead measures simulation wall time with accounting detached vs with
-// multi-stage CPI and FLOPS accounting attached, averaged over reps.
+// multi-stage CPI and FLOPS accounting attached, over reps pairs of runs.
 func Overhead(spec RunSpec, reps int) OverheadResult {
 	if reps < 1 {
 		reps = 3
@@ -49,28 +52,32 @@ func Overhead(spec RunSpec, reps int) OverheadResult {
 		return time.Since(start).Seconds()
 	}
 
-	// Interleave and keep the best of each to damp scheduler noise.
-	best := func(withAcct bool) float64 {
-		bestT := 0.0
-		for i := 0; i < reps; i++ {
-			t := runOnce(withAcct)
-			if bestT == 0 || t < bestT {
-				bestT = t
-			}
-		}
-		return bestT
-	}
+	// Each pair runs both kinds back to back, alternating which goes first,
+	// so drift in the host's speed hits both alike. The overhead is the
+	// median of the pairs' time ratios: a neighbour slowing one run moves
+	// its pair's ratio, not the median.
 	runOnce(false) // warm the code paths
-	base := best(false)
-	acct := best(true)
+	base := make([]float64, reps)
+	acct := make([]float64, reps)
+	ratio := make([]float64, reps)
+	for i := range ratio {
+		if i%2 == 0 {
+			base[i] = runOnce(false)
+			acct[i] = runOnce(true)
+		} else {
+			acct[i] = runOnce(true)
+			base[i] = runOnce(false)
+		}
+		ratio[i] = acct[i] / base[i]
+	}
 
 	return OverheadResult{
 		Workload:    prof.Name,
 		Machine:     m.Name,
 		Uops:        total,
-		BaseSeconds: base,
-		AcctSeconds: acct,
-		OverheadPct: (acct - base) / base * 100,
+		BaseSeconds: stats.Summarize(base).Median,
+		AcctSeconds: stats.Summarize(acct).Median,
+		OverheadPct: (stats.Summarize(ratio).Median - 1) * 100,
 	}
 }
 

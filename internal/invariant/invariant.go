@@ -50,6 +50,10 @@ func Assertf(cond bool, format string, args ...interface{}) {
 	}
 }
 
+// Failf panics with a Violation. Per-cycle checks call it behind their own
+// condition, so the arguments are boxed only when the check fails.
+func Failf(format string, args ...interface{}) { fail(format, args...) }
+
 // Conserved asserts that sum equals total up to accumulated float rounding:
 // |sum - total| <= 1e-9 * (|total| + 1). The accountants add O(total) terms
 // of magnitude <= 1, so the true rounding error is orders of magnitude below

@@ -118,6 +118,8 @@ type Uop struct {
 	// Op is the operation kind.
 	Op Op
 	// Src holds producer sequence numbers; NoProducer means no dependence.
+	// A producer is an older uop of the same trace: the core caches each
+	// waiting uop's readiness on that assumption.
 	Src [3]uint64
 	// Addr is the effective data address for loads and stores.
 	Addr uint64
