@@ -91,6 +91,48 @@ func specCells() []goldenCell {
 	return cells
 }
 
+// wideCells: a big-loop profile under the three schemes over synthesized
+// wrong paths, and the memory-bound profile with a perfect D-cache and
+// single-cycle ALUs, where every producer completes one cycle after it
+// issues and wakeups run at their tightest.
+func wideCells() []goldenCell {
+	var cells []goldenCell
+	for _, mn := range []string{"BDW", "KNL"} {
+		for _, v := range []struct {
+			scheme core.WrongPathScheme
+			label  string
+		}{
+			{core.WrongPathOracle, "oracle/synth"},
+			{core.WrongPathSimple, "simple/synth"},
+			{core.WrongPathSpeculative, "speculative/synth"},
+		} {
+			cells = append(cells, goldenCell{"cactuBSSN/" + mn + "/" + v.label, func(t *testing.T) []byte {
+				prof, ok := workload.SPECProfile("cactuBSSN")
+				if !ok {
+					t.Fatal("unknown profile cactuBSSN")
+				}
+				opts := sim.Options{CPI: true, Fetch: true, MemDepth: true, Structural: true,
+					Scheme: v.scheme, WrongPath: cpu.WrongPathSynth, WarmupUops: goldenWarmup}
+				res := sim.Run(machine(t, mn), trace.NewLimit(workload.NewGenerator(prof), goldenUops), opts)
+				return encode(t, &res, "cactuBSSN")
+			}})
+		}
+	}
+	for _, mn := range []string{"BDW", "SKX"} {
+		cells = append(cells, goldenCell{"mcf/" + mn + "/perfect-dcache+1cyc-alu", func(t *testing.T) []byte {
+			prof, ok := workload.SPECProfile("mcf")
+			if !ok {
+				t.Fatal("unknown profile mcf")
+			}
+			m := machine(t, mn).Apply(config.Idealize{PerfectDCache: true, SingleCycleALU: true})
+			opts := sim.Options{CPI: true, Fetch: true, MemDepth: true, Structural: true, WarmupUops: goldenWarmup}
+			res := sim.Run(m, trace.NewLimit(workload.NewGenerator(prof), goldenUops), opts)
+			return encode(t, &res, "mcf")
+		}})
+	}
+	return cells
+}
+
 // kernelCells: one GEMM and one convolution kernel with CPI and FLOPS stacks
 // on the two vector machines, in each machine's code style. They reach the
 // FLOPS stack's oldest-waiting-VFP signals (Table III).
@@ -155,12 +197,48 @@ func smpCells() []goldenCell {
 	return cells
 }
 
+// figure5Cells: Figure 5's 4-core SKX convolution-forward gang at its quick
+// sizing, with all structures real and with a perfect D-cache.
+func figure5Cells() []goldenCell {
+	const cores, warmup, uops = 4, 40_000, 60_000
+	var cells []goldenCell
+	for _, perfectD := range []bool{false, true} {
+		name := "figure5/SKX/all-real"
+		if perfectD {
+			name = "figure5/SKX/perfect-dcache"
+		}
+		cells = append(cells, goldenCell{name, func(t *testing.T) []byte {
+			m := machine(t, "SKX").Apply(config.Idealize{PerfectDCache: perfectD})
+			cfg := workload.ConvTrain()[6]
+			opts := sim.Options{CPI: true, FLOPS: true, WarmupUops: warmup}
+			res := sim.RunSMP(m, cores, func(tid int) trace.Reader {
+				c := workload.NewConv(workload.StyleSKX, cfg, workload.ConvFwd, m.Core.VectorLanes,
+					uint64(tid)*977+13, 20_000)
+				c.SetExtraOverhead(tid % 3)
+				return trace.NewLimit(c, warmup+uops)
+			}, opts)
+			if res.Err != nil {
+				t.Fatal(res.Err)
+			}
+			b, err := json.Marshal(res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return b
+		}})
+	}
+	return cells
+}
+
 // TestResultDigests pins the SHA-256 of each cell's encoded result, so a
 // change to any result byte fails here. A deliberate change of results
 // comes with a sim.SchemaVersion bump or a rerun with -update, explained in
 // CHANGES.md.
 func TestResultDigests(t *testing.T) {
-	cells := append(append(specCells(), kernelCells()...), smpCells()...)
+	var cells []goldenCell
+	for _, group := range [][]goldenCell{specCells(), wideCells(), kernelCells(), smpCells(), figure5Cells()} {
+		cells = append(cells, group...)
+	}
 	got := make(map[string]string, len(cells))
 	for _, c := range cells {
 		sum := sha256.Sum256(c.run(t))
