@@ -254,8 +254,10 @@ func TestSingleflightCollapse(t *testing.T) {
 		<-started
 	}
 	// All callers are in Do (the leader's fn is blocked on release, so the
-	// flight cannot retire before followers coalesce).
-	for g.InFlight() != 1 {
+	// flight cannot retire before followers coalesce). A caller that has
+	// signalled started may not have joined the flight yet, so wait until
+	// every one of them waits on it.
+	for g.Waiters(key("k")) != n {
 		time.Sleep(time.Millisecond)
 	}
 	close(release)
