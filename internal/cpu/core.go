@@ -3,6 +3,7 @@ package cpu
 import (
 	"context"
 	"math"
+	"math/bits"
 
 	"perfstacks/internal/bpred"
 	"perfstacks/internal/cache"
@@ -59,19 +60,29 @@ type Core struct {
 	sb   *scoreboard
 	hier *cache.Hierarchy
 
-	// rs holds the dispatched, unissued uops in age order. rsVFP counts
-	// its VFP entries.
-	rs    []rsEntry
-	rsVFP int
+	// The reservation stations, as bitsets over ROB ring slots. rsSet holds
+	// the dispatched, unissued uops, in age order from the ROB head; vfpSet
+	// marks its VFP entries. Each entry is in exactly one wakeup state:
+	// ready (readyAt <= now, in ready), timed (every producer issued and
+	// readyAt > now, on the calendar) or waiting (on an unissued producer,
+	// readyAt is notReady). rsN and rsVFP count rsSet and vfpSet.
+	rsSet, ready, vfpSet bitset
+	rsN, rsVFP           int
 
-	// Wakeup state of each uop in rs, indexed by ROB slot. readyAt is
+	// Wakeup state of each RS entry, indexed by ROB slot. readyAt is
 	// notReady while the uop waits on an unissued producer, linked through
-	// waitNext into that producer's scoreboard wait list; once every
-	// producer has issued it is the latest producer completion time. A
-	// producer's completion time is fixed when it issues, so the cached
-	// value stays exact until the uop leaves the RS.
-	readyAt  []int64
-	waitNext []int32
+	// link into that producer's scoreboard wait list; once every producer
+	// has issued it is the latest producer completion time, and a timed
+	// entry is linked through link into its calendar due list. A producer's
+	// completion time is fixed when it issues, so the cached value stays
+	// exact until the uop leaves the RS.
+	readyAt []int64
+	link    []int32
+
+	// cal is the completion calendar: it promotes timed entries when their
+	// readyAt arrives and records every issued uop's completion for
+	// nextEvent.
+	cal calendar
 
 	// pendingStores tracks in-flight stores for memory disambiguation:
 	// a load may not issue while an older store to the same line is not
@@ -140,15 +151,19 @@ func New(p Params, hier *cache.Hierarchy, pred bpred.Predictor, tr trace.Reader)
 		nDiv = 1
 	}
 	r := newROB(p.ROBSize)
+	ring := len(r.u)
 	return &Core{
 		p:            p,
 		fe:           newFrontend(&p, tr, hier, pred),
 		rob:          r,
 		sb:           newScoreboard(p.ROBSize),
 		hier:         hier,
-		rs:           make([]rsEntry, 0, p.RSSize),
-		readyAt:      make([]int64, len(r.u)),
-		waitNext:     make([]int32, len(r.u)),
+		rsSet:        newBitset(ring),
+		ready:        newBitset(ring),
+		vfpSet:       newBitset(ring),
+		readyAt:      make([]int64, ring),
+		link:         make([]int32, ring),
+		cal:          newCalendar(ring),
 		divBusyUntil: make([]int64, nDiv),
 	}
 }
@@ -224,7 +239,7 @@ func (c *Core) Step() bool {
 	if c.yielded {
 		s.Unsched = true
 		s.FECause = core.FEUnsched
-		s.RSEmpty = len(c.rs) == 0
+		s.RSEmpty = c.rsN == 0
 		s.ROBEmpty = c.rob.empty()
 		s.FEEmpty = true
 		c.Stats.BarrierWaits++
@@ -285,7 +300,11 @@ func (c *Core) Step() bool {
 		s.CommitN == 0 && s.IssueN == 0 && s.IssueWrongN == 0 &&
 		s.DispatchN == 0 && s.DispatchWrongN == 0 && s.FetchN == 0 &&
 		!s.HasSquash && c.fe.qLen == qLen0 {
-		if next := c.nextEvent(); next > c.now && next != math.MaxInt64 {
+		next := c.nextEvent()
+		if invariant.Enabled {
+			c.checkNextEvent(next)
+		}
+		if next > c.now && next != math.MaxInt64 {
 			s.Cycle = c.now
 			s.Repeat = next - c.now
 			// dispatch() sampled the frontend cause before fill ran this
@@ -306,53 +325,20 @@ func (c *Core) Step() bool {
 // state can change, or math.MaxInt64 when no timed event is pending. It is
 // only meaningful right after an idle cycle: nothing dispatched, issued,
 // committed or fetched, so the only state transitions left are timed ones —
-// a pending branch resolution, the frontend's stall expiring (I-cache miss
-// return, redirect penalty, microcode occupancy), the ROB head completing,
-// an in-flight producer of a waiting RS entry completing (which can both
-// ready the consumer and change the blamed-producer classification), a
-// non-pipelined divider freeing up, or an in-flight store completing and
-// releasing a memory-order-blocked load.
+// the frontend's stall expiring (I-cache miss return, redirect penalty,
+// microcode occupancy) or an issued uop completing. Every other timed
+// source is such a completion: a pending branch resolution, the ROB head,
+// a producer of an RS entry (which can both ready the consumer and change
+// the blamed-producer classification), a non-pipelined divider freeing up,
+// and an in-flight store releasing a memory-order-blocked load. The
+// calendar holds all of them, so the target is never later than the
+// earliest of those sources (checkNextEvent asserts it under simdebug).
+//
+//simlint:hotpath
 func (c *Core) nextEvent() int64 {
-	next := int64(math.MaxInt64)
-	consider := func(t int64) { //simlint:partial non-escaping closure, stack-allocated; BenchmarkSimulatorThroughput holds 0 allocs/op
-		if t >= c.now && t < next {
-			next = t
-		}
-	}
-
-	if c.hasResolve {
-		consider(c.resolveAt)
-	}
-	consider(c.fe.stallUntil)
-	if h := c.rob.headSlot(); h >= 0 && c.rob.flags[h]&robIssued != 0 {
-		consider(c.rob.doneAt[h])
-	}
-	hasDiv := false
-	for _, e := range c.rs {
-		if e.op == trace.OpDiv {
-			hasDiv = true
-		}
-		for _, src := range c.rob.u[e.slot].Src {
-			if src == trace.NoProducer {
-				continue
-			}
-			// Producers that have not issued cannot complete before some
-			// other event fires first; issued ones complete at a known time.
-			if t, ok := c.sb.readyAt(src); ok {
-				consider(t)
-			}
-		}
-	}
-	if hasDiv {
-		// A waiting divide can become issuable when a divider frees up.
-		for _, t := range c.divBusyUntil {
-			consider(t)
-		}
-	}
-	for i := range c.pendingStores {
-		if c.pendingStores[i].issued {
-			consider(c.pendingStores[i].doneAt)
-		}
+	next := c.cal.next()
+	if t := c.fe.stallUntil; t >= c.now && t < next {
+		next = t
 	}
 	return next
 }
@@ -421,122 +407,175 @@ type portsInUse struct {
 	alu, muldiv, load, store, vfp int
 }
 
-// rsEntry is one reservation-station entry: the ROB slot of a dispatched,
-// unissued uop and its op, kept beside the slot so the select walk reads one
-// dense array. The entry's readiness lives in Core.readyAt.
-type rsEntry struct {
-	slot int32
-	op   trace.Op
-}
-
 // notReady is Core.readyAt's mark for a uop waiting on an unissued producer.
 const notReady = int64(math.MaxInt64)
 
 // issue selects ready uops oldest-first and issues them to available ports,
-// and gathers the issue-stage and VFP accounting signals. Readiness comes
-// from the wakeup state (await/wake), so an entry costs one compare; blame
-// is computed only where a signal consumes it: for the first non-ready
-// entry (Table II issue column) and the oldest waiting VFP entry (Table
-// III). Once the issue width is spent the rest of the RS stays as it is.
+// and gathers the issue-stage and VFP accounting signals. The walk visits
+// only the ready set, so an entry that cannot issue costs nothing; blame is
+// computed only where a signal consumes it, after the walk: for the first
+// non-ready entry (Table II issue column) and the oldest waiting VFP entry
+// (Table III). Computing it after the walk is exact because a consumer's
+// producers are all older than it: any producer that issues this cycle does
+// so before the walk passes the consumer. Once the issue width is spent the
+// rest of the RS stays unexamined.
 func (c *Core) issue(s *core.CycleSample) {
+	c.promote()
 	if invariant.Enabled {
 		c.checkWakeup()
 	}
 	var ref fullScan
 	var ports portsInUse
-	issued := 0
-	rs, readyAt, now, width := c.rs, c.readyAt, c.now, c.p.IssueWidth
-	kept := 0
-	foundNonReady := false
-	var oldestVFPSeen bool
+	issued, width := 0, c.p.IssueWidth
+	head, mask := c.rob.head, c.rob.mask
+	// stop bounds the ages of the examined entries: the entry that spent
+	// the issue width, or the whole ring.
+	stop := mask + 1
 
-	i := 0
-	for ; i < len(rs) && issued < width; i++ {
-		e := rs[i]
-		slot := int(e.slot)
-		if invariant.Enabled {
-			ref.scan(c, slot)
+	ready, nw := c.ready, len(c.ready)
+	hw, hb := head>>6, head&63
+walk:
+	for k := 0; k <= nw; k++ {
+		j := (hw + k) & (nw - 1)
+		w := ready[j]
+		if k == 0 {
+			w &= ^uint64(0) << hb
+		} else if k == nw {
+			w &= 1<<hb - 1
 		}
-		cls, isLoad := core.ProdNone, false
-		if readyAt[slot] > now {
-			// Not ready: record the first non-ready entry's producer class
-			// and, through noteWaiting, the oldest waiting VFP uop's.
-			if !foundNonReady || (!oldestVFPSeen && e.op.IsVFP()) {
-				var depth uint8
-				cls, isLoad, depth = c.blame(slot)
-				if !foundNonReady {
-					foundNonReady = true
-					s.FirstNonReadyClass = cls
-					s.FirstNonReadyMissDepth = depth
+		for ; w != 0; w &= w - 1 {
+			slot := j<<6 | bits.TrailingZeros64(w)
+			op := c.rob.u[slot].Op
+			if invariant.Enabled {
+				ref.visit(c, (slot-head)&mask)
+			}
+			if c.p.MemDisambiguation && op == trace.OpLoad && c.memConflict(slot) {
+				// Load blocked behind an older in-flight store to its line: the
+				// issue-only "memory address conflict" structural stall.
+				if !s.IssueBlockedPort && !s.IssueBlockedMemOrder {
+					s.IssueBlockedMemOrder = true
 				}
+			} else if !c.portFree(&ports, op) {
+				// Ready but structurally blocked: stays in the RS; if it is the
+				// oldest waiting entry the stall is structural (ProdNone).
+				if !s.IssueBlockedPort && !s.IssueBlockedMemOrder {
+					s.IssueBlockedPort = true
+				}
+			} else {
+				c.execute(s, slot)
+				c.leaveRS(slot)
+				if issued++; issued == width {
+					stop = (slot - head) & mask
+					break walk
+				}
+				continue
 			}
-		} else if c.p.MemDisambiguation && e.op == trace.OpLoad && c.memConflict(slot) {
-			// Load blocked behind an older in-flight store to its line: the
-			// issue-only "memory address conflict" structural stall.
-			if !s.IssueBlockedPort && !s.IssueBlockedMemOrder {
-				s.IssueBlockedMemOrder = true
+			if invariant.Enabled {
+				ref.kept(op)
 			}
-		} else if !c.portFree(&ports, e.op) {
-			// Ready but structurally blocked: stays in the RS; if it is the
-			// oldest waiting entry the stall is structural (ProdNone).
-			if !s.IssueBlockedPort && !s.IssueBlockedMemOrder {
-				s.IssueBlockedPort = true
-			}
-		} else {
-			c.execute(s, slot)
-			if e.op.IsVFP() {
-				c.rsVFP--
-			}
-			issued++
-			continue
 		}
-		c.noteWaiting(s, e.op, &oldestVFPSeen, cls, isLoad)
-		if invariant.Enabled {
-			ref.kept(e.op)
-		}
-		rs[kept] = e
-		kept++
 	}
 
-	if i < len(rs) {
-		// Issue width is spent and the tail stays unexamined. Of its
-		// signals only the oldest waiting VFP uop's can still be open: it is
-		// then the tail's first VFP entry, waiting structurally.
-		if !oldestVFPSeen && c.rsVFP > 0 {
-			for _, e := range rs[i:] {
-				if e.op.IsVFP() {
-					c.noteWaiting(s, e.op, &oldestVFPSeen, core.ProdNone, false)
-					break
-				}
-			}
-		}
-		if kept < i {
-			copy(rs[kept:], rs[i:])
-		}
-		kept += len(rs) - i
+	// The first non-ready entry, if examined, carries Table II's blame.
+	var cls core.ProdClass
+	var isLoad bool
+	nr := c.rsSet.nextAndNot(c.ready, head)
+	if nr >= 0 && (nr-head)&mask < stop {
+		var depth uint8
+		cls, isLoad, depth = c.blame(nr)
+		s.FirstNonReadyClass = cls
+		s.FirstNonReadyMissDepth = depth
 	}
-	c.rs = rs[:kept]
+	// The oldest VFP entry left in the RS carries Table III's signals: its
+	// producer's class if it was examined and is not ready, else ProdNone
+	// (a ready entry blocked on a port, or one in the unexamined tail).
+	if c.rsVFP > 0 {
+		s.VFPInRS = true
+		if v := c.vfpSet.next(head); !c.ready.has(v) && (v-head)&mask < stop {
+			if v != nr {
+				cls, isLoad, _ = c.blame(v)
+			}
+			s.OldestVFPClass = cls
+			s.OldestVFPWaitsLoad = isLoad
+		}
+	}
 
 	if invariant.Enabled {
+		ref.finish(c, stop)
 		ref.check(c, s)
 	}
-	s.RSEmpty = len(c.rs) == 0
+	s.RSEmpty = c.rsN == 0
 	c.lastIssue = s.IssueYoungest
 }
 
-// noteWaiting records Table III's oldest-waiting-VFP signals for an entry
-// that stays in the RS this cycle.
-func (c *Core) noteWaiting(s *core.CycleSample, op trace.Op, oldestSeen *bool, cls core.ProdClass, producerIsLoad bool) {
-	if !op.IsVFP() {
-		return
+// promote processes the calendar up to now: every timed entry whose readyAt
+// has arrived becomes ready. Usually only now's wheel slot is due; after a
+// skipped or yielded window the wheel is scanned for the window's events
+// (a skipped window holds none but its last cycle's).
+//
+//simlint:hotpath
+func (c *Core) promote() {
+	cal := &c.cal
+	for cal.base <= c.now {
+		p := int(cal.base) & calMask
+		if cal.base < c.now {
+			q := cal.when.next(p)
+			if q < 0 {
+				break
+			}
+			t := cal.base + int64((q-p)&calMask)
+			if t > c.now {
+				break
+			}
+			cal.base, p = t, q
+		}
+		if cal.when.has(p) {
+			cal.when.clear(p)
+			for e := cal.due[p]; e != 0; e = c.link[e-1] {
+				c.ready.set(int(e - 1))
+			}
+			cal.due[p] = 0
+		}
+		cal.base++
 	}
-	s.VFPInRS = true
-	if *oldestSeen {
-		return
+	cal.base = c.now + 1
+	if cal.overMin < cal.base+calHorizon {
+		c.drainOverflow()
 	}
-	*oldestSeen = true
-	s.OldestVFPClass = cls
-	s.OldestVFPWaitsLoad = producerIsLoad
+}
+
+// drainOverflow moves the overflow events that now fall inside the wheel
+// onto it; a timed entry whose readyAt passed during a yielded window is
+// promoted at once.
+func (c *Core) drainOverflow() {
+	cal := &c.cal
+	kept := cal.over[:0]
+	cal.overMin = math.MaxInt64
+	for _, e := range cal.over {
+		switch {
+		case e.at-cal.base >= calHorizon:
+			kept = append(kept, e)
+			cal.overMin = min(cal.overMin, e.at)
+		case e.at < cal.base:
+			if e.slot >= 0 {
+				c.ready.set(int(e.slot))
+			}
+		default:
+			cal.add(e.at, int(e.slot), c.link)
+		}
+	}
+	cal.over = kept
+}
+
+// leaveRS removes a slot from the reservation stations.
+func (c *Core) leaveRS(slot int) {
+	c.rsSet.clear(slot)
+	c.ready.clear(slot)
+	c.rsN--
+	if c.vfpSet.has(slot) {
+		c.vfpSet.clear(slot)
+		c.rsVFP--
+	}
 }
 
 // blame classifies the producer a non-ready slot waits on, Table II's
@@ -585,29 +624,36 @@ func (c *Core) srcScan(slot int) (latest int64, waitOn, blamed uint64) {
 
 // await settles a slot's wakeup state: it waits on its first unissued
 // producer, linked into that producer's wait list, or — every producer
-// issued — caches the latest producer completion time.
+// issued — caches the latest producer completion time and is ready, or
+// timed and on the calendar until that time.
 func (c *Core) await(slot int) {
 	latest, waitOn, _ := c.srcScan(slot)
 	if waitOn == trace.NoProducer {
 		c.readyAt[slot] = latest
+		if latest <= c.now {
+			c.ready.set(slot)
+		} else {
+			c.cal.add(latest, slot, c.link)
+		}
 		return
 	}
 	head := &c.sb.wait[c.sb.idx(waitOn)]
-	c.waitNext[slot] = *head
+	c.link[slot] = *head
 	*head = int32(slot) + 1
 	c.readyAt[slot] = notReady
 }
 
 // wake re-settles every slot waiting on producer seq, which has just
-// issued. A woken slot either caches its completion time or moves on to
-// wait for its next unissued producer.
+// issued. A woken slot either becomes timed (the producer completes after
+// now, so never ready this cycle) or moves on to wait for its next
+// unissued producer.
 func (c *Core) wake(seq uint64) {
 	head := &c.sb.wait[c.sb.idx(seq)]
 	next := *head
 	*head = 0
 	for next != 0 {
 		slot := int(next - 1)
-		next = c.waitNext[slot]
+		next = c.link[slot]
 		c.await(slot)
 	}
 }
@@ -618,9 +664,9 @@ func (c *Core) unwait(slot int) {
 	_, waitOn, _ := c.srcScan(slot)
 	p := &c.sb.wait[c.sb.idx(waitOn)]
 	for *p != int32(slot)+1 {
-		p = &c.waitNext[*p-1]
+		p = &c.link[*p-1]
 	}
-	*p = c.waitNext[slot]
+	*p = c.link[slot]
 }
 
 // portFree checks and claims a functional-unit port for op.
@@ -751,6 +797,7 @@ func (c *Core) execute(s *core.CycleSample, slot int) {
 	c.rob.flags[slot] |= robIssued
 	c.rob.doneAt[slot] = doneAt
 	c.sb.issue(u.Seq, doneAt, c.rob.lat[slot], miss, missDepth)
+	c.cal.add(doneAt, -1, nil)
 	c.wake(u.Seq)
 
 	if c.rob.flags[slot]&robMispredict != 0 {
@@ -788,7 +835,7 @@ func (c *Core) dispatch(s *core.CycleSample) {
 			s.ROBFull = true
 			break
 		}
-		if len(c.rs) >= c.p.RSSize {
+		if c.rsN >= c.p.RSSize {
 			s.RSFull = true
 			break
 		}
@@ -799,8 +846,10 @@ func (c *Core) dispatch(s *core.CycleSample) {
 		}
 		slot := c.rob.push(u, c.p.latency(u.Op), mispredict)
 		c.sb.allocate(u.Seq, u.Op == trace.OpLoad)
-		c.rs = append(c.rs, rsEntry{slot: int32(slot), op: u.Op})
+		c.rsSet.set(slot)
+		c.rsN++
 		if u.Op.IsVFP() {
+			c.vfpSet.set(slot)
 			c.rsVFP++
 		}
 		c.await(slot)
@@ -852,21 +901,18 @@ func (c *Core) squashWrongPath() {
 		}
 		c.pendingStores = kept
 	}
-	if removed > 0 {
-		kept := c.rs[:0]
-		for _, e := range c.rs {
-			if !c.rob.u[e.slot].WrongPath {
-				kept = append(kept, e)
-				continue
-			}
-			if c.readyAt[e.slot] == notReady {
-				c.unwait(int(e.slot))
-			}
-			if e.op.IsVFP() {
-				c.rsVFP--
-			}
+	// The squashed uops held the ring slots just past the new ROB tail.
+	for i := 0; i < removed; i++ {
+		slot := (c.rob.head + c.rob.count + i) & c.rob.mask
+		if !c.rsSet.has(slot) {
+			continue
 		}
-		c.rs = kept
+		if c.readyAt[slot] == notReady {
+			c.unwait(slot)
+		} else if !c.ready.has(slot) {
+			c.cal.remove(slot, c.readyAt[slot], c.link)
+		}
+		c.leaveRS(slot)
 	}
 	c.fe.squashQueue()
 }

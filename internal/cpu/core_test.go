@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"strings"
 	"testing"
 
 	"perfstacks/internal/bpred"
@@ -519,6 +520,44 @@ func TestValidateRejectsBadParams(t *testing.T) {
 	p.DispatchWidth = 0
 	if err := p.Validate(); err == nil {
 		t.Fatal("zero dispatch width should be invalid")
+	}
+}
+
+// TestValidateRejectsSubCycleLatencies: every execution latency must be at
+// least one cycle, since the issue stage and the completion calendar assume
+// no uop completes in the cycle it issues.
+func TestValidateRejectsSubCycleLatencies(t *testing.T) {
+	cases := []struct {
+		name string
+		set  func(*Latencies)
+	}{
+		{"ALU", func(l *Latencies) { l.ALU = 0 }},
+		{"Mul", func(l *Latencies) { l.Mul = 0 }},
+		{"Div", func(l *Latencies) { l.Div = -1 }},
+		{"Branch", func(l *Latencies) { l.Branch = 0 }},
+		{"FPAdd", func(l *Latencies) { l.FPAdd = 0 }},
+		{"FPMul", func(l *Latencies) { l.FPMul = 0 }},
+		{"FPDiv", func(l *Latencies) { l.FPDiv = 0 }},
+		{"FMA", func(l *Latencies) { l.FMA = 0 }},
+		{"VInt", func(l *Latencies) { l.VInt = 0 }},
+		{"Broadcast", func(l *Latencies) { l.Broadcast = 0 }},
+		{"Store", func(l *Latencies) { l.Store = 0 }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p := tinyParams()
+			tc.set(&p.Lat)
+			err := p.Validate()
+			if err == nil || !strings.Contains(err.Error(), tc.name+" latency") {
+				t.Fatalf("Validate() = %v, want a %s latency error", err, tc.name)
+			}
+		})
+	}
+	p := tinyParams()
+	p.Lat = Latencies{ALU: 1, Mul: 1, Div: 1, Branch: 1, FPAdd: 1, FPMul: 1, FPDiv: 1,
+		FMA: 1, VInt: 1, Broadcast: 1, Store: 1}
+	if err := p.Validate(); err != nil {
+		t.Fatalf("single-cycle latencies rejected: %v", err)
 	}
 }
 

@@ -139,6 +139,22 @@ func (p *Params) Validate() error {
 			return fmt.Errorf("core %q: invalid %s", p.Name, c.msg)
 		}
 	}
+	// The issue stage assumes no uop completes in the cycle it issues: a
+	// wakeup never makes a consumer ready in the same cycle, and every
+	// completion lands on the calendar after the current cycle.
+	l := &p.Lat
+	for _, c := range []struct {
+		lat  int64
+		name string
+	}{
+		{l.ALU, "ALU"}, {l.Mul, "Mul"}, {l.Div, "Div"}, {l.Branch, "Branch"},
+		{l.FPAdd, "FPAdd"}, {l.FPMul, "FPMul"}, {l.FPDiv, "FPDiv"}, {l.FMA, "FMA"},
+		{l.VInt, "VInt"}, {l.Broadcast, "Broadcast"}, {l.Store, "Store"},
+	} {
+		if c.lat < 1 {
+			return fmt.Errorf("core %q: invalid %s latency %d (must be >= 1)", p.Name, c.name, c.lat)
+		}
+	}
 	return nil
 }
 

@@ -1,7 +1,11 @@
 package cpu
 
 import (
+	"math"
+	"math/bits"
+
 	"perfstacks/internal/core"
+	"perfstacks/internal/invariant"
 	"perfstacks/internal/trace"
 )
 
@@ -242,4 +246,140 @@ func (s *scoreboard) retire(seq uint64) {
 	if seq&wpBit == 0 && seq >= s.oldestCP {
 		s.oldestCP = seq + 1
 	}
+}
+
+// bitset is a ring of bits whose length is a power of two; a ring shorter
+// than 64 bits uses the low bits of one word. The reservation stations are
+// bitsets over ROB ring slots, and the completion calendar's wheel is one
+// over cycles.
+type bitset []uint64
+
+func newBitset(n int) bitset { return make(bitset, (n+63)>>6) }
+
+func (b bitset) set(i int)      { b[i>>6] |= 1 << (i & 63) }
+func (b bitset) clear(i int)    { b[i>>6] &^= 1 << (i & 63) }
+func (b bitset) has(i int) bool { return b[i>>6]&(1<<(i&63)) != 0 }
+
+// next returns the first set bit at or after i in ring order, wrapping past
+// the end, or -1 when the set is empty.
+func (b bitset) next(i int) int { return b.nextAndNot(nil, i) }
+
+// nextAndNot is next over the bits of b that are clear in x (a nil x
+// excludes nothing).
+func (b bitset) nextAndNot(x bitset, i int) int {
+	w, n := i>>6, len(b)
+	if v := b.word(x, w) >> (i & 63); v != 0 {
+		return i + bits.TrailingZeros64(v)
+	}
+	for k := 1; k < n; k++ {
+		j := (w + k) & (n - 1)
+		if v := b.word(x, j); v != 0 {
+			return j<<6 | bits.TrailingZeros64(v)
+		}
+	}
+	if v := b.word(x, w) & (1<<(i&63) - 1); v != 0 {
+		return w<<6 | bits.TrailingZeros64(v)
+	}
+	return -1
+}
+
+// word returns word j of b with the bits of x cleared.
+func (b bitset) word(x bitset, j int) uint64 {
+	if x == nil {
+		return b[j]
+	}
+	return b[j] &^ x[j]
+}
+
+// calHorizon is the span of the completion calendar's wheel in cycles. It is
+// a power of two above the common memory-miss latencies (~250-400 cycles on
+// the built-in machines); completions further out, from queued misses, wait
+// in the overflow list.
+const (
+	calHorizon = 512
+	calMask    = calHorizon - 1
+)
+
+// calendar is the core's completion calendar: a bitmap timing wheel over
+// [base, base+calHorizon) plus an overflow list for later times. A set wheel
+// bit marks a cycle at which some event falls: the completion of an issued
+// uop, or the readyAt of a timed RS entry, which is itself some producer's
+// completion. Timed entries are listed per wheel slot (due) so the cycle
+// their readyAt arrives promotes them to ready. Cycles before base have been
+// processed and their bits cleared.
+type calendar struct {
+	when bitset
+	// due heads, per wheel slot, the list of timed ROB slots (slot+1, 0 =
+	// none) whose readyAt falls there, linked through Core.link.
+	due []int32
+	// over holds the events at base+calHorizon or later, in no order;
+	// overMin is their earliest time (math.MaxInt64 when there are none).
+	// Its capacity starts at twice the ROB ring, above the few dozen far
+	// events memory-bound profiles keep pending.
+	over    []calEvent
+	overMin int64
+	base    int64
+}
+
+// calEvent is an overflow event: a timed entry's ROB slot and readyAt, or
+// (slot -1) a completion time only.
+type calEvent struct {
+	at   int64
+	slot int32
+}
+
+func newCalendar(robRing int) calendar {
+	return calendar{
+		when:    newBitset(calHorizon),
+		due:     make([]int32, calHorizon),
+		over:    make([]calEvent, 0, 2*robRing),
+		overMin: math.MaxInt64,
+	}
+}
+
+// add records an event at t >= base. slot >= 0 makes it a timed entry's
+// promotion, linked through link; slot -1 records a completion time only.
+func (cal *calendar) add(t int64, slot int, link []int32) {
+	if invariant.Enabled && t < cal.base {
+		invariant.Failf("calendar event at %d, before its first unprocessed cycle %d", t, cal.base)
+	}
+	if t-cal.base >= calHorizon {
+		cal.over = append(cal.over, calEvent{t, int32(slot)})
+		cal.overMin = min(cal.overMin, t)
+		return
+	}
+	p := int(t) & calMask
+	cal.when.set(p)
+	if slot >= 0 {
+		link[slot] = cal.due[p]
+		cal.due[p] = int32(slot) + 1
+	}
+}
+
+// remove withdraws a squashed timed entry's promotion at t. Its completion
+// event, if any, stays: a spurious event only costs a skipped window.
+func (cal *calendar) remove(slot int, t int64, link []int32) {
+	if t-cal.base >= calHorizon {
+		for i := range cal.over {
+			if cal.over[i].slot == int32(slot) {
+				cal.over[i].slot = -1
+				break
+			}
+		}
+		return
+	}
+	p := &cal.due[int(t)&calMask]
+	for *p != int32(slot)+1 {
+		p = &link[*p-1]
+	}
+	*p = link[slot]
+}
+
+// next returns the earliest pending event time, or math.MaxInt64.
+func (cal *calendar) next() int64 {
+	p := int(cal.base) & calMask
+	if q := cal.when.next(p); q >= 0 {
+		return cal.base + int64((q-p)&calMask)
+	}
+	return cal.overMin
 }

@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"slices"
 	"testing"
 
 	"perfstacks/internal/bpred"
@@ -95,6 +96,46 @@ func TestSkipMatchesNoSkipExactly(t *testing.T) {
 	c1, i1, f1 := sum(colOn)
 	if c0 != c1 || i0 != i1 || f0 != f1 {
 		t.Fatalf("activity totals diverge: off %d/%d/%d vs on %d/%d/%d", c0, i0, f0, c1, i1, f1)
+	}
+}
+
+// TestSkipReenabledMidRun: turning skipping on mid-run, with misses in
+// flight that issued while it was off, must not let a jump overshoot their
+// completions. Independent loads miss to memory, so an idle window waits on
+// the ROB head's completion alone and no consumer's promotion stands in for
+// it. Runs that turn skipping on with misses in flight commit in the same
+// cycles as a run that never skips.
+func TestSkipReenabledMidRun(t *testing.T) {
+	uops := missLoadTrace(40)
+	for i := range uops {
+		uops[i].Src[0] = trace.NoProducer
+	}
+	// commits lists the cycle of every commit.
+	run := func(skipFrom int) (commits []int64, st Stats) {
+		col := &collector{}
+		c := New(tinyParams(), tinyHier(), bpred.Perfect{}, trace.NewSlice(uops))
+		c.Attach(col)
+		c.SetNoSkip(true)
+		for i := 0; c.Step(); i++ {
+			if i == skipFrom {
+				c.SetNoSkip(false)
+			}
+		}
+		for _, s := range col.samples {
+			for n := 0; n < s.CommitN; n++ {
+				commits = append(commits, s.Cycle)
+			}
+		}
+		return commits, c.Stats
+	}
+	// The first loads commit at cycle 202, after the cold I-cache misses;
+	// steps equal cycles while skipping is off.
+	want, st0 := run(-1)
+	for _, from := range []int{130, 210, 300} {
+		got, st := run(from)
+		if st != st0 || !slices.Equal(got, want) {
+			t.Errorf("skipping from step %d commits at cycles %v, never skipping at %v", from, got, want)
+		}
 	}
 }
 
