@@ -133,6 +133,26 @@ func wideCells() []goldenCell {
 	return cells
 }
 
+// familyCells: one profile from each remaining workload family on BDW with
+// CPI and fetch stacks: a streaming floating-point profile and a
+// front-end-bound one, whose large code footprint keeps the fetch stack's
+// I-cache and branch components busy.
+func familyCells() []goldenCell {
+	var cells []goldenCell
+	for _, wl := range []string{"lbm", "gcc-1"} {
+		cells = append(cells, goldenCell{wl + "/BDW/cpi+fetch", func(t *testing.T) []byte {
+			prof, ok := workload.SPECProfile(wl)
+			if !ok {
+				t.Fatalf("unknown profile %q", wl)
+			}
+			opts := sim.Options{CPI: true, Fetch: true, WarmupUops: goldenWarmup}
+			res := sim.Run(machine(t, "BDW"), trace.NewLimit(workload.NewGenerator(prof), goldenUops), opts)
+			return encode(t, &res, wl)
+		}})
+	}
+	return cells
+}
+
 // kernelCells: one GEMM and one convolution kernel with CPI and FLOPS stacks
 // on the two vector machines, in each machine's code style. They reach the
 // FLOPS stack's oldest-waiting-VFP signals (Table III).
@@ -236,7 +256,7 @@ func figure5Cells() []goldenCell {
 // CHANGES.md.
 func TestResultDigests(t *testing.T) {
 	var cells []goldenCell
-	for _, group := range [][]goldenCell{specCells(), wideCells(), kernelCells(), smpCells(), figure5Cells()} {
+	for _, group := range [][]goldenCell{specCells(), wideCells(), familyCells(), kernelCells(), smpCells(), figure5Cells()} {
 		cells = append(cells, group...)
 	}
 	got := make(map[string]string, len(cells))
