@@ -1,8 +1,7 @@
 // Command simlint is the repo's invariant multichecker. It bundles the
-// ten analyzers of internal/analyzers (enumexhaustive, repeataware,
+// eight analyzers of internal/analyzers (enumexhaustive, repeataware,
 // batchingest, determinism, acctencapsulation, errcheckerr, handlerctx,
-// hotalloc, atomicmix, staleannot) behind the two driver modes
-// of internal/analysis:
+// staleannot) behind the two driver modes of internal/analysis:
 //
 //	simlint ./...                           standalone, over go list patterns
 //	simlint -json ./...                     sorted JSON findings array
@@ -13,9 +12,9 @@
 // message). Exit status: 0 clean, 1 driver or analysis error (dominates),
 // 2 findings. Findings are suppressed by a `//simlint:partial <reason>`
 // annotation on the offending line or the line above it — the staleannot
-// pass flags any suppression that stops earning its keep. Hot-path
-// functions are marked `//simlint:hotpath`; see DESIGN.md §8 for the
-// invariant catalogue and §12 for the flow-sensitive tier.
+// pass flags any suppression that stops earning its keep. See DESIGN.md §8
+// for the invariant catalogue and §12 for the hot-path allocation gate,
+// which is a test (cpu.TestHotPathZeroAlloc), not an analyzer.
 package main
 
 import (

@@ -45,8 +45,8 @@ func TestWriteJSONFindingsEmptyIsArray(t *testing.T) {
 }
 
 func TestWriteSARIFShape(t *testing.T) {
-	a := &Analyzer{Name: "hotalloc", Doc: "no allocations on the hot path"}
-	fs := []Finding{{File: "x.go", Line: 5, Column: 3, Analyzer: "hotalloc", Message: "boom"}}
+	a := &Analyzer{Name: "determinism", Doc: "no wall-clock time in simulation packages"}
+	fs := []Finding{{File: "x.go", Line: 5, Column: 3, Analyzer: "determinism", Message: "boom"}}
 	var buf bytes.Buffer
 	if err := writeSARIF(&buf, "simlint", []*Analyzer{a}, fs); err != nil {
 		t.Fatal(err)
@@ -60,7 +60,7 @@ func TestWriteSARIFShape(t *testing.T) {
 	}
 	run := log.Runs[0]
 	if run.Tool.Driver.Name != "simlint" || len(run.Tool.Driver.Rules) != 1 ||
-		run.Tool.Driver.Rules[0].ID != "hotalloc" {
+		run.Tool.Driver.Rules[0].ID != "determinism" {
 		t.Errorf("driver/rules wrong: %+v", run.Tool.Driver)
 	}
 	if len(run.Results) != 1 {
@@ -68,7 +68,7 @@ func TestWriteSARIFShape(t *testing.T) {
 	}
 	r := run.Results[0]
 	loc := r.Locations[0].PhysicalLocation
-	if r.RuleID != "hotalloc" || r.Level != "warning" || r.Message.Text != "boom" ||
+	if r.RuleID != "determinism" || r.Level != "warning" || r.Message.Text != "boom" ||
 		loc.Region.StartLine != 5 || loc.Region.StartColumn != 3 {
 		t.Errorf("result wrong: %+v", r)
 	}

@@ -9,19 +9,16 @@ import (
 
 // StaleAnnot audits the suppression annotations the rest of the suite
 // consults. An annotation is a standing claim — "this finding was reviewed
-// and accepted" or "this function is a proven hot path" — and a claim that
-// outlives the code it was written for is worse than none: it silences the
-// next real finding that lands on the same line. StaleAnnot keeps the
-// annotation set honest:
+// and accepted" — and a claim that outlives the code it was written for is
+// worse than none: it silences the next real finding that lands on the
+// same line. StaleAnnot keeps the annotation set honest:
 //
 //   - a //simlint:partial that no longer suppresses any finding of the
-//     other ten analyzers is stale and must be deleted (the finding was
+//     other seven analyzers is stale and must be deleted (the finding was
 //     fixed, or the code moved out from under the comment);
-//   - a //simlint:hotpath that does not anchor to a function declaration
-//     marks nothing and is dead;
-//   - either marker sitting against blank lines — no code on its own line
-//     or the line below — anchors to nothing and is flagged before the
-//     drift can silence anything.
+//   - a marker sitting against blank lines — no code on its own line or
+//     the line below — anchors to nothing and is flagged before the drift
+//     can silence anything.
 //
 // Liveness is established by re-running the sibling analyzers over the same
 // package with a discarding reporter while annotationUses records every
@@ -32,7 +29,7 @@ import (
 // correctness does not depend on position.
 var StaleAnnot = &analysis.Analyzer{
 	Name: "staleannot",
-	Doc:  "every //simlint:partial and //simlint:hotpath annotation must still suppress or mark a live finding",
+	Doc:  "every //simlint:partial annotation must still suppress a live finding",
 }
 
 // Run is bound in init: runStaleAnnot calls All() to re-run its siblings,
@@ -41,66 +38,39 @@ var StaleAnnot = &analysis.Analyzer{
 func init() { StaleAnnot.Run = runStaleAnnot }
 
 func runStaleAnnot(pass *analysis.Pass) (interface{}, error) {
-	partials := gatherMarked(pass, partialPrefix)
-	hotpaths := gatherMarked(pass, hotpathPrefix)
-	if len(partials) == 0 && len(hotpaths) == 0 {
+	partials := gatherMarked(pass)
+	if len(partials) == 0 {
 		return nil, nil
-	}
-
-	codeLines := gatherCodeLines(pass)
-
-	// Structural checks first: annotations anchored to nothing.
-	for _, m := range partials {
-		if !anchorsToCode(codeLines, m) {
-			pass.Reportf(m.pos, "simlint:partial annotation anchors to no code (blank line): move it onto or directly above the finding it acknowledges, or delete it")
-		}
-	}
-	decls := funcDecls(pass)
-	for _, m := range hotpaths {
-		if !anchorsToCode(codeLines, m) {
-			pass.Reportf(m.pos, "simlint:hotpath annotation anchors to no code (blank line): move it onto the function declaration it marks, or delete it")
-			continue
-		}
-		anchored := false
-		for _, fd := range decls {
-			if hotpathAnchored(pass.Fset, m, fd) {
-				anchored = true
-				break
-			}
-		}
-		if !anchored {
-			pass.Reportf(m.pos, "simlint:hotpath annotation does not mark a function declaration: it must sit in a function's doc comment or trail its first line")
-		}
 	}
 
 	// Liveness audit: re-run the sibling analyzers with a discarding
 	// reporter and record which partial annotations they consult.
-	if len(partials) > 0 {
-		annotationUses = make(map[string]bool)
-		defer func() { annotationUses = nil }()
-		for _, a := range All() {
-			if a == StaleAnnot {
-				continue
-			}
-			shadow := &analysis.Pass{
-				Analyzer:  a,
-				Fset:      pass.Fset,
-				Files:     pass.Files,
-				Pkg:       pass.Pkg,
-				TypesInfo: pass.TypesInfo,
-				Report:    func(analysis.Diagnostic) {},
-			}
-			if _, err := a.Run(shadow); err != nil {
-				return nil, err
-			}
+	annotationUses = make(map[string]bool)
+	defer func() { annotationUses = nil }()
+	for _, a := range All() {
+		if a == StaleAnnot {
+			continue
 		}
-		for _, m := range partials {
-			if !anchorsToCode(codeLines, m) {
-				continue // already reported above
-			}
-			if !annotationUses[useKey(m.file, m.line)] {
-				pass.Reportf(m.pos, "stale simlint:partial annotation: it no longer suppresses any finding — the finding was fixed or the code moved; delete the annotation")
-			}
+		shadow := &analysis.Pass{
+			Analyzer:  a,
+			Fset:      pass.Fset,
+			Files:     pass.Files,
+			Pkg:       pass.Pkg,
+			TypesInfo: pass.TypesInfo,
+			Report:    func(analysis.Diagnostic) {},
+		}
+		if _, err := a.Run(shadow); err != nil {
+			return nil, err
+		}
+	}
+
+	codeLines := gatherCodeLines(pass)
+	for _, m := range partials {
+		switch {
+		case !anchorsToCode(codeLines, m):
+			pass.Reportf(m.pos, "simlint:partial annotation anchors to no code (blank line): move it onto or directly above the finding it acknowledges, or delete it")
+		case !annotationUses[useKey(m.file, m.line)]:
+			pass.Reportf(m.pos, "stale simlint:partial annotation: it no longer suppresses any finding — the finding was fixed or the code moved; delete the annotation")
 		}
 	}
 	return nil, nil
@@ -137,8 +107,8 @@ func gatherCodeLines(pass *analysis.Pass) map[string]map[int]bool {
 }
 
 // anchorsToCode reports whether annotation m has code on its own line or
-// the line directly below — the two positions annotations.suppressed and
-// hotpathAnchored consult.
+// the line directly below — the two positions annotations.suppressed
+// consults.
 func anchorsToCode(codeLines map[string]map[int]bool, m marked) bool {
 	fm := codeLines[m.file]
 	return fm != nil && (fm[m.line] || fm[m.line+1])

@@ -8,30 +8,43 @@ import (
 
 func TestStaleAnnot(t *testing.T) {
 	analysistest.Run(t, StaleAnnot, analysistest.Package{
-		Path: "example.com/fake/hot",
+		Path: "example.com/fake/modes",
 		Files: map[string]string{
-			"hot.go": `package hot
+			"modes.go": `package modes
 
-type core struct {
-	scratch []int
+type Mode int
+
+const (
+	ModeA Mode = iota
+	ModeB
+	ModeC
+	NumModes
+)
+
+// weight's partial is live: the audit re-run of enumexhaustive still
+// raises the missing-ModeC finding on the switch below it, so the
+// suppression is doing work.
+func weight(m Mode) int {
+	//simlint:partial ModeC weighs nothing, reviewed
+	switch m {
+	case ModeA:
+		return 1
+	case ModeB:
+		return 2
+	}
+	return 0
 }
 
-// step's partial is live: the audit re-run of hotalloc still raises the
-// make finding on its line, so the suppression is doing work.
-//simlint:hotpath
-func step(c *core, n int) {
-	c.scratch = make([]int, 0, n) //simlint:partial amortized regrow, reviewed
+// fixed's switch was made exhaustive but the suppression was left behind —
+// the deleted-without-cleanup case the audit exists to catch.
+func fixed(m Mode) int {
+	//simlint:partial ModeC used to be missing here // want ` + "`" + `stale simlint:partial annotation` + "`" + `
+	switch m {
+	case ModeA, ModeB, ModeC:
+		return 1
+	}
+	return 0
 }
-
-// fixed's finding was repaired but the suppression was left behind — the
-// deleted-without-cleanup case the audit exists to catch.
-func fixed(x int) int {
-	//simlint:partial the map write here was removed // want ` + "`" + `stale simlint:partial annotation` + "`" + `
-	return x + 1
-}
-
-//simlint:hotpath // want ` + "`" + `does not mark a function declaration` + "`" + `
-var tuned = true
 
 //simlint:partial orphaned by a refactor // want ` + "`" + `anchors to no code` + "`" + `
 

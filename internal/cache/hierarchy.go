@@ -80,7 +80,6 @@ type memLevel struct {
 	chanMask uint64
 }
 
-//simlint:hotpath
 func (ml memLevel) Access(req Request) Result {
 	done := ml.m.Access(mem.Request{
 		Line: req.Line, At: req.At, Write: req.Write, Prefetch: req.Prefetch,

@@ -81,13 +81,9 @@ func (s *SlicedLevel) NumSlices() int { return len(s.slices) }
 func (s *SlicedLevel) Slice(i int) Level { return s.slices[i] }
 
 // SliceOf returns the index of the slice owning the given line.
-//
-//simlint:hotpath
 func (s *SlicedLevel) SliceOf(line uint64) int { return sliceIndex(line, s.mask) }
 
 // Access implements Level by routing to the owning slice.
-//
-//simlint:hotpath
 func (s *SlicedLevel) Access(req Request) Result {
 	return s.slices[sliceIndex(req.Line, s.mask)].Access(req)
 }

@@ -145,8 +145,6 @@ func (m *MultiStageAccountant) PendingPeak() int {
 
 // Cycle consumes one cycle's sample. A sample with Repeat > 1 stands for
 // that many identical idle cycles and is accounted in one batched step.
-//
-//simlint:hotpath
 func (m *MultiStageAccountant) Cycle(s *CycleSample) {
 	if invariant.Enabled {
 		debugCheckSample(s)

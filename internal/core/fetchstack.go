@@ -30,8 +30,6 @@ func NewFetchAccountant(w int) *FetchAccountant {
 }
 
 // Cycle consumes one sample.
-//
-//simlint:hotpath
 func (a *FetchAccountant) Cycle(s *CycleSample) {
 	if invariant.Enabled {
 		debugCheckSample(s)

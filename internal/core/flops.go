@@ -135,8 +135,6 @@ func NewFLOPSAccountant(k, v int) *FLOPSAccountant {
 // mask gets (v−m_i)/(kv). Those three sum to 1/k per issued uop, so together
 // with the (k−n)/k unissued-slot classification every cycle accounts to
 // exactly 1.
-//
-//simlint:hotpath
 func (a *FLOPSAccountant) Cycle(s *CycleSample) {
 	if invariant.Enabled {
 		debugCheckSample(s)

@@ -127,8 +127,6 @@ func NewMemDepthAccountant(w int) *MemDepthAccountant {
 }
 
 // Cycle consumes one sample.
-//
-//simlint:hotpath
 func (a *MemDepthAccountant) Cycle(s *CycleSample) {
 	if invariant.Enabled {
 		debugCheckSample(s)

@@ -87,8 +87,6 @@ func NewStructuralAccountant(w int) *StructuralAccountant {
 }
 
 // Cycle consumes one sample.
-//
-//simlint:hotpath
 func (a *StructuralAccountant) Cycle(s *CycleSample) {
 	if invariant.Enabled {
 		debugCheckSample(s)

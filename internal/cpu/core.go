@@ -221,8 +221,6 @@ func (c *Core) Yielded() bool { return c.yielded }
 // of the stall window, emitting one batched sample (CycleSample.Repeat) in
 // place of the per-cycle ones. It returns false once the core has finished
 // (trace drained and pipeline empty).
-//
-//simlint:hotpath
 func (c *Core) Step() bool {
 	if c.finished {
 		return false
@@ -333,8 +331,6 @@ func (c *Core) Step() bool {
 // and an in-flight store releasing a memory-order-blocked load. The
 // calendar holds all of them, so the target is never later than the
 // earliest of those sources (checkNextEvent asserts it under simdebug).
-//
-//simlint:hotpath
 func (c *Core) nextEvent() int64 {
 	next := c.cal.next()
 	if t := c.fe.stallUntil; t >= c.now && t < next {
@@ -512,8 +508,6 @@ walk:
 // has arrived becomes ready. Usually only now's wheel slot is due; after a
 // skipped or yielded window the wheel is scanned for the window's events
 // (a skipped window holds none but its last cycle's).
-//
-//simlint:hotpath
 func (c *Core) promote() {
 	cal := &c.cal
 	for cal.base <= c.now {

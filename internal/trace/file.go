@@ -189,15 +189,13 @@ func (fr *FileReader) Next() (Uop, bool) {
 // then records decode out of the staging buffer. A truncated tail record
 // sets Err exactly as Next would; the complete records before it are still
 // delivered.
-//
-//simlint:hotpath
 func (fr *FileReader) ReadBatch(dst []Uop) int {
 	if fr.err != nil || len(dst) == 0 {
 		return 0
 	}
 	want := len(dst) * recordSize
 	if cap(fr.bulk) < want {
-		fr.bulk = make([]byte, want) //simlint:partial amortized staging-buffer grow, monotone under the cap guard
+		fr.bulk = make([]byte, want)
 	}
 	got, err := io.ReadFull(fr.r, fr.bulk[:want])
 	n := got / recordSize
@@ -206,10 +204,10 @@ func (fr *FileReader) ReadBatch(dst []Uop) int {
 	}
 	fr.seen += uint64(n)
 	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
-		fr.err = fmt.Errorf("trace: record %d: %w", fr.seen, err) //simlint:partial error path ends the stream; allocates once per run
+		fr.err = fmt.Errorf("trace: record %d: %w", fr.seen, err)
 	} else if got%recordSize != 0 {
 		// Partial trailing record: the same truncation Next reports.
-		fr.err = fmt.Errorf("trace: record %d: %w", fr.seen, ErrTruncated) //simlint:partial error path ends the stream; allocates once per run
+		fr.err = fmt.Errorf("trace: record %d: %w", fr.seen, ErrTruncated)
 	}
 	return n
 }

@@ -222,8 +222,6 @@ func (a *scalarBatch) Next() (Uop, bool) { return a.r.Next() }
 func (a *scalarBatch) Err() error { return ErrOf(a.r) }
 
 // ReadBatch implements BatchReader by looping the wrapped reader's Next.
-//
-//simlint:hotpath
 func (a *scalarBatch) ReadBatch(dst []Uop) int {
 	for i := range dst {
 		u, ok := a.r.Next()
@@ -270,8 +268,6 @@ func (s *Slice) Next() (Uop, bool) {
 }
 
 // ReadBatch implements BatchReader with a single bulk copy.
-//
-//simlint:hotpath
 func (s *Slice) ReadBatch(dst []Uop) int {
 	n := copy(dst, s.Uops[s.pos:])
 	s.pos += n
@@ -309,8 +305,6 @@ func (l *Limit) Next() (Uop, bool) {
 
 // ReadBatch implements BatchReader: the batch is clamped to the remaining
 // budget and delegated in bulk when the wrapped reader batches too.
-//
-//simlint:hotpath
 func (l *Limit) ReadBatch(dst []Uop) int {
 	if l.seen >= l.N {
 		return 0
@@ -358,8 +352,6 @@ func (c *Counter) Next() (Uop, bool) {
 }
 
 // ReadBatch implements BatchReader, counting the whole batch in one pass.
-//
-//simlint:hotpath
 func (c *Counter) ReadBatch(dst []Uop) int {
 	var n int
 	if br, ok := c.R.(BatchReader); ok {
