@@ -263,3 +263,68 @@ func TestCanonicalUncoreShapeKeys(t *testing.T) {
 		t.Fatalf("fewer channels than slices: got %v, want ErrBadValue", err)
 	}
 }
+
+// FuzzCanonicalEncoding drives CanonicalOptions and CanonicalMachine with
+// arbitrary option values and machine fields. On every input neither
+// panics and every rejection wraps ErrBadValue. An accepted value encodes
+// to the same bytes again (the encoding is a pure function of the value);
+// NoSkip and Context never change the option bytes; and spelling out the
+// uncore defaults (one L3 slice, a channel per slice) never changes the
+// machine bytes.
+func FuzzCanonicalEncoding(f *testing.F) {
+	f.Add(true, false, false, false, false, 0, 0, uint64(0), false, uint8(0), 0, 0, 0, 0.0)
+	f.Add(true, true, true, true, true, 2, 1, uint64(50_000), true, uint8(2), 224, 4, 8, 2.1)
+	f.Add(false, true, false, true, false, 1, 1, uint64(1), false, uint8(1), 1, 1, 1, math.NaN())
+	f.Add(true, false, true, false, true, 3, -1, uint64(math.MaxUint64), true, uint8(0), -5, 3, 2, math.Inf(1))
+	f.Add(true, false, false, false, false, -1, 2, uint64(7), false, uint8(2), 1<<30, 128, 64, -1.0)
+	f.Fuzz(func(t *testing.T, cpi, flops, memDepth, structural, fetch bool, scheme, wp int,
+		warmup uint64, noSkip bool, machine uint8, robDelta, slices, channels int, freqDelta float64) {
+		opts := Options{CPI: cpi, FLOPS: flops, MemDepth: memDepth, Structural: structural, Fetch: fetch,
+			Scheme: core.WrongPathScheme(scheme), WrongPath: cpu.WrongPathMode(wp), WarmupUops: warmup}
+		ob, err := CanonicalOptions(opts)
+		if err != nil {
+			if !errors.Is(err, ErrBadValue) {
+				t.Fatalf("CanonicalOptions: error does not wrap ErrBadValue: %v", err)
+			}
+		} else {
+			again, err := CanonicalOptions(opts)
+			if err != nil || !bytes.Equal(ob, again) {
+				t.Fatalf("CanonicalOptions not stable: %q then %q (%v)", ob, again, err)
+			}
+			opts.NoSkip = noSkip
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			opts.Context = ctx
+			if with, err := CanonicalOptions(opts); err != nil || !bytes.Equal(ob, with) {
+				t.Fatalf("NoSkip/Context changed the option bytes: %q vs %q (%v)", ob, with, err)
+			}
+		}
+
+		m := []config.Machine{config.BDW(), config.KNL(), config.SKX()}[machine%3]
+		m.Core.ROBSize += robDelta
+		m.FreqGHz += freqDelta
+		m.Hierarchy.L3Slices = slices
+		m.Hierarchy.MemChannels = channels
+		mb, err := CanonicalMachine(m)
+		if err != nil {
+			if !errors.Is(err, ErrBadValue) {
+				t.Fatalf("CanonicalMachine: error does not wrap ErrBadValue: %v", err)
+			}
+			return
+		}
+		if again, err := CanonicalMachine(m); err != nil || !bytes.Equal(mb, again) {
+			t.Fatalf("CanonicalMachine not stable (%v)", err)
+		}
+		spelled := m
+		if spelled.Hierarchy.L3Slices == 0 {
+			spelled.Hierarchy.L3Slices = 1
+		}
+		if spelled.Hierarchy.MemChannels == 0 {
+			spelled.Hierarchy.MemChannels = spelled.Hierarchy.SliceCount()
+		}
+		if sb, err := CanonicalMachine(spelled); err != nil || !bytes.Equal(mb, sb) {
+			t.Fatalf("spelling out the uncore defaults (slices %d→%d, channels %d→%d) changed the machine bytes (%v)",
+				m.Hierarchy.L3Slices, spelled.Hierarchy.L3Slices, m.Hierarchy.MemChannels, spelled.Hierarchy.MemChannels, err)
+		}
+	})
+}
