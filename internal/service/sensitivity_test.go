@@ -199,71 +199,75 @@ func TestSensitivityStream(t *testing.T) {
 
 // TestSensitivityCancellation: a client that walks away mid-fan-out cancels
 // the in-flight cells, frees the pool for other work, and leaves no partial
-// report in the cache.
+// report in the cache — on the buffered and the streamed path alike.
 func TestSensitivityCancellation(t *testing.T) {
-	simStarted := make(chan struct{}, 64)
-	var blocking atomic.Bool
-	blocking.Store(true)
-	srv, ts := newTestServer(t, Config{Workers: 2}, func(s *Server) {
-		inner := s.runSim
-		s.runSim = func(m config.Machine, tr trace.Reader, opts sim.Options) sim.Result {
-			if blocking.Load() {
-				simStarted <- struct{}{}
-				<-opts.Context.Done()
-				return sim.Result{Err: fmt.Errorf("%w: canceled", sim.ErrCanceled)}
+	for _, query := range []string{"", "?stream=1"} {
+		t.Run("query="+query, func(t *testing.T) {
+			simStarted := make(chan struct{}, 64)
+			var blocking atomic.Bool
+			blocking.Store(true)
+			srv, ts := newTestServer(t, Config{Workers: 2}, func(s *Server) {
+				inner := s.runSim
+				s.runSim = func(m config.Machine, tr trace.Reader, opts sim.Options) sim.Result {
+					if blocking.Load() {
+						simStarted <- struct{}{}
+						<-opts.Context.Done()
+						return sim.Result{Err: fmt.Errorf("%w: canceled", sim.ErrCanceled)}
+					}
+					return inner(m, tr, opts)
+				}
+			})
+
+			ctx, cancel := context.WithCancel(context.Background())
+			req, err := http.NewRequestWithContext(ctx, http.MethodPost,
+				ts.URL+"/v1/sensitivity"+query, strings.NewReader(sensitivityBody("")))
+			if err != nil {
+				t.Fatal(err)
 			}
-			return inner(m, tr, opts)
-		}
-	})
+			req.Header.Set("Content-Type", "application/json")
+			respErr := make(chan error, 1)
+			go func() {
+				_, err := http.DefaultClient.Do(req)
+				respErr <- err
+			}()
+			<-simStarted
+			cancel()
+			if err := <-respErr; err == nil {
+				t.Fatal("canceled plan returned a response")
+			}
+			waitForMetric(t, ts, `simd_sensitivity_plans_total{event="failed"} 1`)
 
-	ctx, cancel := context.WithCancel(context.Background())
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		ts.URL+"/v1/sensitivity", strings.NewReader(sensitivityBody("")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	respErr := make(chan error, 1)
-	go func() {
-		_, err := http.DefaultClient.Do(req)
-		respErr <- err
-	}()
-	<-simStarted
-	cancel()
-	if err := <-respErr; err == nil {
-		t.Fatal("canceled plan returned a response")
-	}
-	waitForMetric(t, ts, `simd_sensitivity_plans_total{event="failed"} 1`)
+			// The partial plan was not cached under its report key.
+			sp, err := srv.resolveSensitivity(&SensitivityRequest{
+				Machine:  "BDW",
+				Workload: &WorkloadSpec{Profile: "mcf", Uops: 5000},
+				Params:   []string{"bpred"},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := srv.cache.Get(sp.key); ok {
+				t.Fatal("a canceled (partial) plan left a report in the cache")
+			}
 
-	// The partial plan was not cached under its report key.
-	sp, err := srv.resolveSensitivity(&SensitivityRequest{
-		Machine:  "BDW",
-		Workload: &WorkloadSpec{Profile: "mcf", Uops: 5000},
-		Params:   []string{"bpred"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := srv.cache.Get(sp.key); ok {
-		t.Fatal("a canceled (partial) plan left a report in the cache")
-	}
-
-	// The pool slots the plan held are free again: an ordinary simulate
-	// request completes promptly.
-	blocking.Store(false)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		resp := post(t, ts, simulateBody(t, ""))
-		b := readAll(t, resp)
-		if resp.StatusCode != http.StatusOK {
-			t.Errorf("post-cancel simulate: %d: %s", resp.StatusCode, b)
-		}
-	}()
-	select {
-	case <-done:
-	case <-time.After(20 * time.Second):
-		t.Fatal("pool never freed its slots after plan cancellation")
+			// The pool slots the plan held are free again: an ordinary
+			// simulate request completes promptly.
+			blocking.Store(false)
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				resp := post(t, ts, simulateBody(t, ""))
+				b := readAll(t, resp)
+				if resp.StatusCode != http.StatusOK {
+					t.Errorf("post-cancel simulate: %d: %s", resp.StatusCode, b)
+				}
+			}()
+			select {
+			case <-done:
+			case <-time.After(20 * time.Second):
+				t.Fatal("pool never freed its slots after plan cancellation")
+			}
+		})
 	}
 }
 

@@ -33,15 +33,21 @@ func newTestServer(t *testing.T, cfg Config, mutate func(*Server)) (*Server, *ht
 	if cfg.CacheDir == "" {
 		cfg.CacheDir = t.TempDir()
 	}
-	s, err := New(context.Background(), cfg)
+	base, cancel := context.WithCancel(context.Background())
+	s, err := New(base, cfg)
 	if err != nil {
+		cancel()
 		t.Fatal(err)
 	}
 	if mutate != nil {
 		mutate(s)
 	}
 	ts := httptest.NewServer(s.Handler())
+	// Cancel the base context before Close, the drain order Server.Close
+	// documents: work detached from its request context still ends, so a
+	// test that misses a cancellation fails instead of hanging in Close.
 	t.Cleanup(func() {
+		cancel()
 		ts.Close()
 		s.Close()
 	})
