@@ -1,8 +1,7 @@
 // Package analysis is a self-contained, dependency-free reimplementation of
 // the golang.org/x/tools/go/analysis core: an Analyzer/Pass/Diagnostic model
-// plus the two drivers the repo needs — the `go vet -vettool` unitchecker
-// protocol (see unitchecker.go) and a standalone `go list`-backed loader
-// (see standalone.go).
+// plus the one driver the repo needs, the `go vet -vettool` unitchecker
+// protocol (see unitchecker.go).
 //
 // It exists because this repository builds hermetically with no module
 // dependencies. The API mirrors x/tools deliberately: an analyzer written
@@ -26,7 +25,7 @@ type Analyzer struct {
 	// Doc is a one-paragraph description of what the analyzer enforces.
 	Doc string
 	// Run applies the analyzer to one package. The returned value is
-	// ignored by the drivers in this repo (x/tools uses it for analyzer
+	// ignored by the driver in this repo (x/tools uses it for analyzer
 	// dependencies, which this clone does not support).
 	Run func(*Pass) (interface{}, error)
 }

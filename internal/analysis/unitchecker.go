@@ -45,9 +45,8 @@ type vetConfig struct {
 //	tool -flags         print the JSON flag schema (we expose no flags)
 //	tool [-json] x.cfg  check one package described by a vet config file
 //
-// Any other argument list is treated as `go list` package patterns and
-// handled by the standalone driver, so the same binary serves both
-// `go vet -vettool=$(which simlint) ./...` and `simlint ./...`.
+// Any other argument list prints a usage line naming the `go vet` invocation
+// and exits 1.
 func Main(progname string, analyzers ...*Analyzer) {
 	args := os.Args[1:]
 
@@ -63,36 +62,18 @@ func Main(progname string, analyzers ...*Analyzer) {
 		fmt.Println("[]")
 		return
 	}
-
-	// Output-mode flags. -json doubles as the vet protocol's flag (cmd/go
-	// passes it before the .cfg path) and the standalone driver's JSON
-	// findings array; -sarif is standalone-only.
-	jsonOut := false
-	format := FormatPlain
-	for len(args) > 0 {
-		switch args[0] {
-		case "-json":
-			jsonOut = true
-			format = FormatJSON
-		case "-sarif":
-			format = FormatSARIF
-		default:
-			goto flagsDone
-		}
+	// -json, ahead of the .cfg path, selects vet's JSON diagnostics format.
+	// cmd/go forwards it only to a tool whose -flags schema declares it.
+	jsonOut := len(args) > 0 && args[0] == "-json"
+	if jsonOut {
 		args = args[1:]
 	}
-flagsDone:
-
 	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
 		runUnitchecker(progname, args[0], jsonOut, analyzers)
 		return
 	}
-
-	// Standalone mode.
-	if len(args) == 0 {
-		args = []string{"./..."}
-	}
-	os.Exit(Standalone(os.Stdout, args, analyzers, format))
+	fmt.Fprintf(os.Stderr, "usage: go vet -vettool=$(which %s) ./...\n", progname)
+	os.Exit(1)
 }
 
 // printVersion emits the `name version ...` line cmd/go expects, keyed by a

@@ -1,16 +1,11 @@
-// Package analyzers holds the simlint suite: eight static-analysis passes
+// Package analyzers holds the simlint suite: five static-analysis passes
 // that machine-check the accounting core's structural invariants — the
 // conventions that make every CPI/FLOPS stack sum exactly to total cycles —
-// the trace-ingestion and request-context contracts, and the
-// error-propagation contract.
+// and the error-propagation contract.
 //
 //   - enumexhaustive: switches over accounting enums cover every value (or
 //     carry a //simlint:partial annotation) and fixed arrays indexed by such
 //     enums are sized by their Num* sentinel.
-//   - repeataware: every Cycle(*core.CycleSample) accountant handles batched
-//     Repeat samples instead of silently treating them as one cycle.
-//   - batchingest: internal/cpu pulls trace uops through
-//     BatchReader.ReadBatch, never per-uop Reader.Next.
 //   - determinism: no wall-clock time, global math/rand, or map-iteration
 //     accumulation inside the simulation packages.
 //   - acctencapsulation: stack accumulator fields are written only from
@@ -18,15 +13,16 @@
 //   - errcheckerr: non-test code that drains a trace reader to exhaustion
 //     also checks the reader's Err() (or trace.ErrOf) in the same function,
 //     so a faulted stream can never pass for a clean end of trace.
-//   - handlerctx: internal/service HTTP handlers propagate r.Context() into
-//     context-accepting calls (singleflight, pool submission), so client
-//     disconnects cancel the work they started.
 //   - staleannot: every //simlint:partial still suppresses a live finding.
 //
-// The hot path's allocation freedom is checked at run time by
-// cpu.TestHotPathZeroAlloc (DESIGN.md §12), not by an analyzer. DESIGN.md
-// §8 lists the enforced invariants; cmd/simlint is the multichecker binary
-// that runs the suite (standalone or as a `go vet -vettool`).
+// Contracts a runtime test can fail on are left to that test, not an
+// analyzer: the hot path's allocation freedom and its batch-only trace
+// ingestion (cpu.TestHotPathZeroAlloc), the accountants' handling of batched
+// Repeat samples (sim.TestSkipEquivalence), and the service handlers'
+// request-context propagation (service.TestClientDisconnectCancelsSimulation
+// and TestSensitivityCancellation). DESIGN.md §8 lists the enforced
+// invariants; cmd/simlint is the `go vet -vettool` binary that runs the
+// suite.
 package analyzers
 
 import (
@@ -44,12 +40,9 @@ import (
 func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		EnumExhaustive,
-		RepeatAware,
-		BatchIngest,
 		Determinism,
 		AcctEncapsulation,
 		ErrCheckErr,
-		HandlerCtx,
 		StaleAnnot,
 	}
 }

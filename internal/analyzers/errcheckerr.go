@@ -162,6 +162,26 @@ func isErrMethod(pass *analysis.Pass, call *ast.CallExpr) bool {
 	return obj.Name() == "error" && obj.Pkg() == nil // the built-in error type
 }
 
+// isUopNextCall reports whether call is a method call shaped like
+// trace.Reader.Next: no parameters, results (trace.Uop, bool). Matching on
+// the signature (rather than the static receiver type) catches every Reader
+// implementation and the BatchReader interface's embedded Next alike.
+func isUopNextCall(pass *analysis.Pass, call *ast.CallExpr) bool {
+	sig, ok := pass.TypesInfo.Types[call.Fun].Type.(*types.Signature)
+	if !ok || sig.Params().Len() != 0 || sig.Results().Len() != 2 {
+		return false
+	}
+	if basic, ok := sig.Results().At(1).Type().(*types.Basic); !ok || basic.Kind() != types.Bool {
+		return false
+	}
+	named, ok := sig.Results().At(0).Type().(*types.Named)
+	if !ok {
+		return false
+	}
+	obj := named.Obj()
+	return obj.Name() == "Uop" && obj.Pkg() != nil && pkgSuffix(obj.Pkg().Path(), "internal/trace")
+}
+
 // isUopReadBatchCall reports whether call is shaped like
 // trace.BatchReader.ReadBatch: one []trace.Uop parameter, one int result.
 func isUopReadBatchCall(pass *analysis.Pass, call *ast.CallExpr) bool {

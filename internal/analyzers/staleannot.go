@@ -14,7 +14,7 @@ import (
 // same line. StaleAnnot keeps the annotation set honest:
 //
 //   - a //simlint:partial that no longer suppresses any finding of the
-//     other seven analyzers is stale and must be deleted (the finding was
+//     other four analyzers is stale and must be deleted (the finding was
 //     fixed, or the code moved out from under the comment);
 //   - a marker sitting against blank lines — no code on its own line or
 //     the line below — anchors to nothing and is flagged before the drift
@@ -23,10 +23,10 @@ import (
 // Liveness is established by re-running the sibling analyzers over the same
 // package with a discarding reporter while annotationUses records every
 // suppression consulted (see annotations.suppressed). This keeps StaleAnnot
-// self-contained — it works identically under analysistest, the standalone
-// driver, and `go vet -vettool` — at the cost of the suite running twice
-// when it is enabled. It must be last in All() only for report ordering;
-// correctness does not depend on position.
+// self-contained — it works identically under analysistest and under
+// `go vet -vettool` — at the cost of the suite running twice when it is
+// enabled. It must be last in All() only for report ordering; correctness
+// does not depend on position.
 var StaleAnnot = &analysis.Analyzer{
 	Name: "staleannot",
 	Doc:  "every //simlint:partial annotation must still suppress a live finding",

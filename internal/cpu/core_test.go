@@ -50,7 +50,6 @@ type collector struct {
 	samples []core.CycleSample
 }
 
-//simlint:partial the collector retains raw samples verbatim, batched (Repeat > 1) or not; tests expand them as needed
 func (c *collector) Cycle(s *core.CycleSample) { c.samples = append(c.samples, *s) }
 
 func runCore(t *testing.T, p Params, uops []trace.Uop) (*Core, *collector, Stats) {
