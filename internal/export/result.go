@@ -106,13 +106,32 @@ func EncodeResult(res *sim.Result, workload string) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
+// resultDoc is ResultJSON without the Named and NamedFLOPS views, the
+// fields DecodeResult reads. Decoding into it skips the views' bytes
+// instead of building their maps and slices only to drop them.
+type resultDoc struct {
+	Version  string `json:"version"`
+	Machine  string `json:"machine"`
+	Workload string `json:"workload,omitempty"`
+
+	Stacks     *core.MultiStack      `json:"stacks,omitempty"`
+	FLOPS      *core.FLOPSStack      `json:"flops,omitempty"`
+	MemDepth   *core.MemDepthStack   `json:"memdepth,omitempty"`
+	Structural *core.StructuralStack `json:"structural,omitempty"`
+	Fetch      *core.Stack           `json:"fetch,omitempty"`
+	Stats      cpu.Stats             `json:"stats"`
+	Bpred      bpred.Stats           `json:"bpred"`
+}
+
 // DecodeResult parses an encoded result back into a sim.Result plus its
 // workload label. A payload stamped with a different schema version fails
-// with ErrResultVersion.
+// with ErrResultVersion; one with anything but whitespace after the result
+// object fails to decode.
 func DecodeResult(payload []byte) (*sim.Result, string, error) {
-	var doc ResultJSON
-	dec := json.NewDecoder(bytes.NewReader(payload))
-	if err := dec.Decode(&doc); err != nil {
+	var doc resultDoc
+	// Unmarshal reads payload in place, where a Decoder would first copy
+	// it into a buffer of its own.
+	if err := json.Unmarshal(payload, &doc); err != nil {
 		return nil, "", fmt.Errorf("export: decoding result: %w", err)
 	}
 	if doc.Version != sim.SchemaVersion {

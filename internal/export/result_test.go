@@ -14,7 +14,7 @@ import (
 )
 
 // runReference produces a small but fully populated result.
-func runReference(t *testing.T) sim.Result {
+func runReference(t testing.TB) sim.Result {
 	t.Helper()
 	prof, ok := workload.SPECProfile("mcf")
 	if !ok {
@@ -118,8 +118,57 @@ func TestEncodeResultRefusesPartial(t *testing.T) {
 	}
 }
 
+// TestResultDocMirrorsResultJSON keeps DecodeResult's document in step with
+// the wire type: every ResultJSON field but the two named views, in order,
+// with the same type and tag.
+func TestResultDocMirrorsResultJSON(t *testing.T) {
+	var want []reflect.StructField
+	wire := reflect.TypeOf(ResultJSON{})
+	for i := 0; i < wire.NumField(); i++ {
+		if f := wire.Field(i); f.Name != "Named" && f.Name != "NamedFLOPS" {
+			want = append(want, f)
+		}
+	}
+	doc := reflect.TypeOf(resultDoc{})
+	if doc.NumField() != len(want) {
+		t.Fatalf("resultDoc has %d fields, ResultJSON without its views %d", doc.NumField(), len(want))
+	}
+	for i, w := range want {
+		if f := doc.Field(i); f.Name != w.Name || f.Type != w.Type || f.Tag != w.Tag {
+			t.Errorf("resultDoc field %d is %s %s %q, want %s %s %q", i, f.Name, f.Type, f.Tag, w.Name, w.Type, w.Tag)
+		}
+	}
+}
+
 func TestDecodeResultGarbage(t *testing.T) {
 	if _, _, err := DecodeResult([]byte("{not json")); err == nil {
 		t.Fatal("garbage decoded without error")
+	}
+	res := runReference(t)
+	payload, err := EncodeResult(&res, "mcf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := DecodeResult(append(payload, "{}"...)); err == nil {
+		t.Fatal("a payload with trailing data decoded without error")
+	}
+}
+
+// BenchmarkDecodeResult measures decoding one cached result with all four
+// optional stacks and both named views (mcf on BDW), the work of every
+// cache hit served as a sim.Result.
+func BenchmarkDecodeResult(b *testing.B) {
+	res := runReference(b)
+	payload, err := EncodeResult(&res, "mcf")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(payload)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := DecodeResult(payload); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -12,8 +12,9 @@ import (
 // canonical machine bytes, canonical option bytes, the workload generator's
 // identity (profile plus uop budget — the generator is a pure function of
 // the two) and the result schema version. Every consumer of the cache
-// (simd, sweep, experiments) derives keys here, so they can share a cache
-// directory and hit each other's entries.
+// (simd, sweep, experiments, sensitivity plans) derives keys here or from
+// the same two helpers, so they can share a cache directory and hit each
+// other's entries.
 func SimKey(m config.Machine, prof workload.Profile, uops uint64, opts sim.Options) (Key, error) {
 	mb, err := sim.CanonicalMachine(m)
 	if err != nil {
@@ -23,14 +24,29 @@ func SimKey(m config.Machine, prof workload.Profile, uops uint64, opts sim.Optio
 	if err != nil {
 		return Key{}, err
 	}
-	tid, err := sim.CanonicalBytes("workload", struct {
-		Profile workload.Profile
-		Uops    uint64
-	}{prof, uops})
+	wb, err := WorkloadBytes(prof, uops)
 	if err != nil {
 		return Key{}, err
 	}
-	return KeyOf(mb, ob, tid, []byte(sim.SchemaVersion)), nil
+	return SimKeyOf(mb, ob, wb), nil
+}
+
+// WorkloadBytes returns the canonical identity of a generator workload: the
+// whole Profile plus the uop budget.
+func WorkloadBytes(prof workload.Profile, uops uint64) ([]byte, error) {
+	return sim.CanonicalBytes("workload", struct {
+		Profile workload.Profile
+		Uops    uint64
+	}{prof, uops})
+}
+
+// SimKeyOf composes a result key from canonical machine and option bytes
+// (sim.CanonicalMachine, sim.CanonicalOptions) and the workload's identity:
+// WorkloadBytes for a generator, a digest for a trace file. A caller keying
+// many machines under one workload and option set encodes the shared parts
+// once.
+func SimKeyOf(machine, opts, wl []byte) Key {
+	return KeyOf(machine, opts, wl, []byte(sim.SchemaVersion))
 }
 
 // RunSPEC serves a generator-driven simulation from the cache, simulating

@@ -129,3 +129,33 @@ func TestRunSPECNeverCachesCanceledRun(t *testing.T) {
 		t.Fatalf("Stores = %d after the live rerun, want 1", got)
 	}
 }
+
+// TestSimKeyAllocs gates the allocations of one key derivation: the
+// canonical machine, option and workload buffers and the hash, not a
+// string per encoded field or a rebuilt profile table.
+func TestSimKeyAllocs(t *testing.T) {
+	m, prof, opts := benchSetup(t)
+	if _, err := SimKey(m, prof, 5000, opts); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() { _, _ = SimKey(m, prof, 5000, opts) }); n > 8 {
+		t.Errorf("SimKey allocates %v times, want <= 8", n)
+	}
+}
+
+// BenchmarkSimKey measures one cache-key derivation, the work every
+// generator-driven simulate request does before its cache lookup.
+func BenchmarkSimKey(b *testing.B) {
+	m, err := config.ByName("BDW")
+	if err != nil {
+		b.Fatal(err)
+	}
+	prof, _ := workload.SPECProfile("mcf")
+	opts := sim.Default()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := SimKey(m, prof, 5000, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -125,9 +125,9 @@ launch:
 // cache hits.
 func LocalRunner(pool *runner.Pool, cache *resultcache.Cache) RunCellFunc {
 	return func(ctx context.Context, p *Plan, cell Cell) (CellOutcome, error) {
-		key, err := resultcache.SimKey(cell.Machine, p.Profile, p.Uops, p.Opts)
-		if err != nil {
-			return CellOutcome{}, err
+		key := cell.Key
+		if key == (resultcache.Key{}) {
+			return CellOutcome{}, ErrNoCellKey
 		}
 		if cache != nil {
 			if payload, ok := cache.Get(key); ok {

@@ -21,6 +21,7 @@
 package sensitivity
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -84,7 +85,16 @@ type Cell struct {
 	Component core.Component
 	// Machine is the perturbed, validated configuration.
 	Machine config.Machine
+	// Key is the cell's content-addressed result key, set by NewPlan: the
+	// resultcache.SimKey of Machine under the plan's workload, uop count
+	// and options. Runners look the cell up under it; they reject a cell
+	// whose Key is zero (one not built by NewPlan) rather than let every
+	// such cell alias one cache entry.
+	Key resultcache.Key
 }
+
+// ErrNoCellKey rejects a cell whose Key is the zero key.
+var ErrNoCellKey = errors.New("sensitivity: cell has no result key (plans come from NewPlan)")
 
 // Plan is a fully generated perturbation plan: one workload measured on the
 // baseline machine and every perturbed variant. Cells[0] is the baseline.
@@ -395,6 +405,16 @@ func NewPlan(m config.Machine, prof workload.Profile, uops uint64, opts sim.Opti
 		}
 	}
 
+	// Every cell shares the option and workload bytes; each cell's machine
+	// bytes, needed anyway to drop duplicates, complete its key.
+	optBytes, err := sim.CanonicalOptions(opts)
+	if err != nil {
+		return nil, err
+	}
+	wlBytes, err := resultcache.WorkloadBytes(prof, uops)
+	if err != nil {
+		return nil, err
+	}
 	baseBytes, err := sim.CanonicalMachine(m)
 	if err != nil {
 		return nil, err
@@ -404,7 +424,10 @@ func NewPlan(m config.Machine, prof workload.Profile, uops uint64, opts sim.Opti
 		Profile:  prof,
 		Uops:     uops,
 		Opts:     opts,
-		Cells:    []Cell{{Variant: KindBaseline, Kind: KindBaseline, Machine: m}},
+		Cells: []Cell{{
+			Variant: KindBaseline, Kind: KindBaseline, Machine: m,
+			Key: resultcache.SimKeyOf(baseBytes, optBytes, wlBytes),
+		}},
 	}
 
 	addCell := func(c Cell, seen map[string]bool) error {
@@ -421,6 +444,7 @@ func NewPlan(m config.Machine, prof workload.Profile, uops uint64, opts sim.Opti
 			return nil
 		}
 		seen[string(mb)] = true
+		c.Key = resultcache.SimKeyOf(mb, optBytes, wlBytes)
 		p.Cells = append(p.Cells, c)
 		return nil
 	}
@@ -458,13 +482,6 @@ func NewPlan(m config.Machine, prof workload.Profile, uops uint64, opts sim.Opti
 	return p, nil
 }
 
-// CellKey derives cell i's content-addressed result key — the same
-// derivation plain simulate requests use, so overlapping plans and
-// individual runs share cache entries.
-func (p *Plan) CellKey(i int) (resultcache.Key, error) {
-	return resultcache.SimKey(p.Cells[i].Machine, p.Profile, p.Uops, p.Opts)
-}
-
 // Key derives the plan-level cache key for the finished report: the labeled
 // sequence of cell keys plus the report schema version. Each cell key
 // already binds its machine, the workload, trace length, simulation options
@@ -473,17 +490,15 @@ func (p *Plan) CellKey(i int) (resultcache.Key, error) {
 func (p *Plan) Key() (resultcache.Key, error) {
 	parts := make([][]byte, 0, len(p.Cells)+2)
 	parts = append(parts, []byte("sensitivity-plan"), []byte(ReportSchemaVersion))
-	for i := range p.Cells {
-		k, err := p.CellKey(i)
-		if err != nil {
-			return resultcache.Key{}, err
+	for _, cell := range p.Cells {
+		if cell.Key == (resultcache.Key{}) {
+			return resultcache.Key{}, ErrNoCellKey
 		}
-		cell := p.Cells[i]
-		part := make([]byte, 0, len(cell.Param)+len(cell.Variant)+1+len(k))
+		part := make([]byte, 0, len(cell.Param)+len(cell.Variant)+1+len(cell.Key))
 		part = append(part, cell.Param...)
 		part = append(part, '/')
 		part = append(part, cell.Variant...)
-		part = append(part, k[:]...)
+		part = append(part, cell.Key[:]...)
 		parts = append(parts, part)
 	}
 	return resultcache.KeyOf(parts...), nil

@@ -1,11 +1,13 @@
 package sensitivity
 
 import (
+	"context"
 	"errors"
 	"testing"
 
 	"perfstacks/internal/config"
 	"perfstacks/internal/core"
+	"perfstacks/internal/resultcache"
 	"perfstacks/internal/sim"
 	"perfstacks/internal/workload"
 )
@@ -150,5 +152,68 @@ func TestPlanHundredCells(t *testing.T) {
 	}
 	if len(p.Cells) > MaxCells {
 		t.Fatalf("extended plan has %d cells, above MaxCells=%d", len(p.Cells), MaxCells)
+	}
+}
+
+// TestPlanCellKeys checks that NewPlan's once-per-plan cell keys are the
+// shared derivation: every cell's Key is the SimKey a plain simulate
+// request for its machine would use.
+func TestPlanCellKeys(t *testing.T) {
+	for _, po := range []PlanOptions{{}, {Params: []string{"caches", "mispredict_penalty"}, Variants: []float64{0.25, 4}}} {
+		p, err := NewPlan(config.SKX(), mustProfile(t, "gcc-1"), 7_000, sim.Options{WarmupUops: 1_000}, po)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := make(map[resultcache.Key]bool, len(p.Cells))
+		for _, c := range p.Cells {
+			want, err := resultcache.SimKey(c.Machine, p.Profile, p.Uops, p.Opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.Key != want {
+				t.Errorf("params %v: cell %s/%s: Key %s, SimKey %s", po.Params, c.Param, c.Variant, c.Key, want)
+			}
+			if seen[c.Key] {
+				t.Errorf("params %v: cell %s/%s repeats a key", po.Params, c.Param, c.Variant)
+			}
+			seen[c.Key] = true
+		}
+	}
+}
+
+// TestZeroCellKeyRejected checks that a cell without a key is refused, not
+// looked up: every hand-built cell would otherwise share the zero key's
+// cache entry.
+func TestZeroCellKeyRejected(t *testing.T) {
+	p := testPlan(t, PlanOptions{Params: []string{"rob_size"}}, 3_000)
+	cache := resultcache.New(resultcache.NewMemory(1<<20), nil)
+	cell := p.Cells[0]
+	cell.Key = resultcache.Key{}
+	if _, err := LocalRunner(nil, cache)(context.Background(), p, cell); !errors.Is(err, ErrNoCellKey) {
+		t.Fatalf("LocalRunner on a zero key: %v, want ErrNoCellKey", err)
+	}
+	if st := cache.Stats.Snapshot(); st.Hits()+st.Misses != 0 {
+		t.Fatalf("LocalRunner looked the zero key up: %+v", st)
+	}
+	p.Cells[1].Key = resultcache.Key{}
+	if _, err := p.Key(); !errors.Is(err, ErrNoCellKey) {
+		t.Fatalf("Plan.Key with a zero cell key: %v, want ErrNoCellKey", err)
+	}
+}
+
+// BenchmarkNewPlanKey measures what a re-POSTed plan costs before any cell
+// runs: expanding the default 79-cell mcf/BDW plan and deriving its key.
+func BenchmarkNewPlanKey(b *testing.B) {
+	prof, _ := workload.SPECProfile("mcf")
+	m := config.BDW()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		p, err := NewPlan(m, prof, 5_000, sim.Options{}, PlanOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := p.Key(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

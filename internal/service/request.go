@@ -263,7 +263,7 @@ func (s *Server) resolve(req *Request) (*plan, error) {
 		if err != nil {
 			return nil, err
 		}
-		p.key = resultcache.KeyOf(mBytes, oBytes, traceID, []byte(sim.SchemaVersion))
+		p.key = resultcache.SimKeyOf(mBytes, oBytes, traceID)
 		return p, nil
 	}
 }
@@ -288,7 +288,7 @@ func (s *Server) resolveSMP(p *plan, m config.Machine, prof workload.Profile, uo
 	if err != nil {
 		return nil, err
 	}
-	p.key = resultcache.KeyOf(mb, ob, tid, []byte(sim.SchemaVersion))
+	p.key = resultcache.SimKeyOf(mb, ob, tid)
 	p.workload = fmt.Sprintf("%s-smp%d", prof.Name, cores)
 	p.smpCores = cores
 	p.mkSMP = func(tid int) trace.Reader {

@@ -220,9 +220,9 @@ func (s *Server) producePlan(ctx context.Context, sp *sensPlan, onCell func(sens
 // admission already happened at the plan level) instead of being shed, so
 // a plan saturates the pool politely rather than failing halfway.
 func (s *Server) runPlanCell(ctx context.Context, p *sensitivity.Plan, cell sensitivity.Cell) (sensitivity.CellOutcome, error) {
-	key, err := resultcache.SimKey(cell.Machine, p.Profile, p.Uops, p.Opts)
-	if err != nil {
-		return sensitivity.CellOutcome{}, err
+	key := cell.Key
+	if key == (resultcache.Key{}) {
+		return sensitivity.CellOutcome{}, sensitivity.ErrNoCellKey
 	}
 	if payload, ok := s.cache.Get(key); ok {
 		if res, _, err := export.DecodeResult(payload); err == nil {

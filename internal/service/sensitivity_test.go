@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -14,9 +15,11 @@ import (
 	"time"
 
 	"perfstacks/internal/config"
+	"perfstacks/internal/resultcache"
 	"perfstacks/internal/sensitivity"
 	"perfstacks/internal/sim"
 	"perfstacks/internal/trace"
+	"perfstacks/internal/workload"
 )
 
 func postSensitivity(t *testing.T, ts *httptest.Server, body, query string) *http.Response {
@@ -376,5 +379,25 @@ func TestSensitivityMetricsGating(t *testing.T) {
 	}
 	if want := []string{"sim", "cache", "coalesced"}; !slices.Equal(sources, want) {
 		t.Fatalf("cell sources after one plan: got %q, want %q", sources, want)
+	}
+}
+
+// TestRunPlanCellRejectsZeroKey checks that a plan cell without a key is
+// refused before any cache lookup, so hand-built cells cannot all alias
+// the zero key's entry.
+func TestRunPlanCellRejectsZeroKey(t *testing.T) {
+	s, _ := newTestServer(t, Config{Workers: 1}, nil)
+	prof, _ := workload.SPECProfile("mcf")
+	p, err := sensitivity.NewPlan(config.BDW(), prof, 3_000, sim.Options{}, sensitivity.PlanOptions{Params: []string{"rob_size"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cell := p.Cells[0]
+	cell.Key = resultcache.Key{}
+	if _, err := s.runPlanCell(context.Background(), p, cell); !errors.Is(err, sensitivity.ErrNoCellKey) {
+		t.Fatalf("runPlanCell on a zero key: %v, want ErrNoCellKey", err)
+	}
+	if st := s.cache.Stats.Snapshot(); st.Hits()+st.Misses != 0 {
+		t.Fatalf("runPlanCell looked the zero key up: %+v", st)
 	}
 }

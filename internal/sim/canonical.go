@@ -17,6 +17,7 @@ import (
 	"reflect"
 	"sort"
 	"strconv"
+	"sync"
 
 	"perfstacks/internal/config"
 	"perfstacks/internal/core"
@@ -111,7 +112,7 @@ func CanonicalOptions(opts Options) ([]byte, error) {
 	if err := ValidateOptions(opts); err != nil {
 		return nil, err
 	}
-	buf := make([]byte, 0, 96)
+	buf := make([]byte, 0, 128)
 	buf = append(buf, "sim.Options{"...)
 	buf = appendKV(buf, "CPI", strconv.FormatBool(opts.CPI))
 	buf = appendKV(buf, "FLOPS", strconv.FormatBool(opts.FLOPS))
@@ -120,9 +121,10 @@ func CanonicalOptions(opts Options) ([]byte, error) {
 	buf = appendKV(buf, "Fetch", strconv.FormatBool(opts.Fetch))
 	buf = appendKV(buf, "Scheme", opts.Scheme.String())
 	buf = appendKV(buf, "WrongPath", strconv.Itoa(int(opts.WrongPath)))
-	buf = appendKV(buf, "WarmupUops", strconv.FormatUint(opts.WarmupUops, 10))
-	buf = append(buf, '}')
-	return buf, nil
+	// AppendUint, unlike FormatUint, allocates no string for the count.
+	buf = append(buf, "WarmupUops="...)
+	buf = strconv.AppendUint(buf, opts.WarmupUops, 10)
+	return append(buf, ';', '}'), nil
 }
 
 // CanonicalMachine validates m and returns its canonical bytes. Unlike
@@ -164,18 +166,65 @@ func appendKV(buf []byte, key, val string) []byte {
 // (channels, functions, non-nil interfaces), are rejected with a typed
 // ErrBadValue naming the offending field path.
 func CanonicalBytes(label string, v any) ([]byte, error) {
-	buf := make([]byte, 0, 512)
+	// Sized so a machine (~1.2 KB) encodes in one allocation.
+	buf := make([]byte, 0, 2048)
 	buf = append(buf, label...)
 	buf = append(buf, ':')
-	return appendCanonical(buf, label, reflect.ValueOf(v))
+	buf, fe := appendCanonical(buf, reflect.ValueOf(v))
+	if fe != nil {
+		fe.Field = label + fe.Field
+		return nil, fe
+	}
+	return buf, nil
 }
 
-// appendCanonical is CanonicalBytes' recursive worker; path names the field
-// for error reporting.
-func appendCanonical(buf []byte, path string, v reflect.Value) ([]byte, error) {
+// fieldMeta is what the walker needs of one struct field.
+type fieldMeta struct {
+	name     string
+	exported bool
+	// omitzero is the `canon:"omitzero"` tag: a field added after keys of
+	// the untagged shape were stored. Its zero value (the semantics every
+	// stored key was measured under) is omitted, so adding the field
+	// changed no existing key, while any non-zero value encodes and keys a
+	// distinct configuration. Injectivity holds because the model treats
+	// the zero value and no-field identically.
+	omitzero bool
+}
+
+// structFields caches fieldMeta per struct type (reflect.Type →
+// []fieldMeta), so the walker reads names and tags once per type, not once
+// per encoding.
+var structFields sync.Map
+
+// fieldsOf returns struct type t's field metadata, from the cache after
+// the first call.
+func fieldsOf(t reflect.Type) []fieldMeta {
+	if fs, ok := structFields.Load(t); ok {
+		return fs.([]fieldMeta)
+	}
+	fs := make([]fieldMeta, t.NumField())
+	for i := range fs {
+		f := t.Field(i)
+		fs[i] = fieldMeta{name: f.Name, exported: f.IsExported(), omitzero: f.Tag.Get("canon") == "omitzero"}
+	}
+	actual, _ := structFields.LoadOrStore(t, fs)
+	return actual.([]fieldMeta)
+}
+
+// under prefixes a rejection's path with the step the walker took to reach
+// it. Paths are assembled only as an error unwinds, so a successful
+// encoding formats none.
+func (e *FieldError) under(step string) *FieldError {
+	e.Field = step + e.Field
+	return e
+}
+
+// appendCanonical is CanonicalBytes' recursive worker. A rejection's Field
+// holds the path below v; each caller prepends its own step.
+func appendCanonical(buf []byte, v reflect.Value) ([]byte, *FieldError) {
 	switch v.Kind() {
 	case reflect.Bool:
-		return append(buf, strconv.FormatBool(v.Bool())...), nil
+		return strconv.AppendBool(buf, v.Bool()), nil
 	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
 		return strconv.AppendInt(buf, v.Int(), 10), nil
 	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
@@ -183,37 +232,29 @@ func appendCanonical(buf []byte, path string, v reflect.Value) ([]byte, error) {
 	case reflect.Float32, reflect.Float64:
 		f := v.Float()
 		if math.IsNaN(f) {
-			return nil, badField(path, "NaN is not a valid configuration value")
+			return nil, &FieldError{Reason: "NaN is not a valid configuration value"}
 		}
 		if math.IsInf(f, 0) {
-			return nil, badField(path, "infinite values are not valid configuration values")
+			return nil, &FieldError{Reason: "infinite values are not valid configuration values"}
 		}
 		return strconv.AppendFloat(buf, f, 'g', -1, 64), nil
 	case reflect.String:
 		return strconv.AppendQuote(buf, v.String()), nil
 	case reflect.Struct:
 		buf = append(buf, '{')
-		t := v.Type()
-		for i := 0; i < t.NumField(); i++ {
-			f := t.Field(i)
-			if !f.IsExported() {
-				return nil, badField(path+"."+f.Name, "unexported fields cannot be canonicalized")
+		for i, f := range fieldsOf(v.Type()) {
+			if !f.exported {
+				return nil, &FieldError{Field: "." + f.name, Reason: "unexported fields cannot be canonicalized"}
 			}
-			// A `canon:"omitzero"` tag marks a field added after keys of the
-			// untagged shape were stored: the zero value (the semantics every
-			// stored key was measured under) is omitted, so adding the field
-			// changed no existing key, while any non-zero value encodes and
-			// keys a distinct configuration. Injectivity holds because the
-			// model treats the zero value and no-field identically.
-			if f.Tag.Get("canon") == "omitzero" && v.Field(i).IsZero() {
+			fv := v.Field(i)
+			if f.omitzero && fv.IsZero() {
 				continue
 			}
-			buf = append(buf, f.Name...)
+			buf = append(buf, f.name...)
 			buf = append(buf, '=')
-			var err error
-			buf, err = appendCanonical(buf, path+"."+f.Name, v.Field(i))
-			if err != nil {
-				return nil, err
+			var fe *FieldError
+			if buf, fe = appendCanonical(buf, fv); fe != nil {
+				return nil, fe.under("." + f.name)
 			}
 			buf = append(buf, ';')
 		}
@@ -226,10 +267,9 @@ func appendCanonical(buf []byte, path string, v reflect.Value) ([]byte, error) {
 		buf = strconv.AppendInt(buf, int64(v.Len()), 10)
 		buf = append(buf, ':')
 		for i := 0; i < v.Len(); i++ {
-			var err error
-			buf, err = appendCanonical(buf, fmt.Sprintf("%s[%d]", path, i), v.Index(i))
-			if err != nil {
-				return nil, err
+			var fe *FieldError
+			if buf, fe = appendCanonical(buf, v.Index(i)); fe != nil {
+				return nil, fe.under("[" + strconv.Itoa(i) + "]")
 			}
 			buf = append(buf, ';')
 		}
@@ -244,9 +284,9 @@ func appendCanonical(buf []byte, path string, v reflect.Value) ([]byte, error) {
 			v reflect.Value
 		}, len(keys))
 		for i, k := range keys {
-			kb, err := appendCanonical(nil, path+".key", k)
-			if err != nil {
-				return nil, err
+			kb, fe := appendCanonical(nil, k)
+			if fe != nil {
+				return nil, fe.under(".key")
 			}
 			enc[i].k, enc[i].v = string(kb), v.MapIndex(k)
 		}
@@ -257,10 +297,9 @@ func appendCanonical(buf []byte, path string, v reflect.Value) ([]byte, error) {
 		for _, e := range enc {
 			buf = append(buf, e.k...)
 			buf = append(buf, '=')
-			var err error
-			buf, err = appendCanonical(buf, path+"[key]", e.v)
-			if err != nil {
-				return nil, err
+			var fe *FieldError
+			if buf, fe = appendCanonical(buf, e.v); fe != nil {
+				return nil, fe.under("[key]")
 			}
 			buf = append(buf, ';')
 		}
@@ -270,13 +309,13 @@ func appendCanonical(buf []byte, path string, v reflect.Value) ([]byte, error) {
 			return append(buf, "nil"...), nil
 		}
 		buf = append(buf, '*')
-		return appendCanonical(buf, path, v.Elem())
+		return appendCanonical(buf, v.Elem())
 	case reflect.Interface:
 		if v.IsNil() {
 			return append(buf, "nil"...), nil
 		}
-		return nil, badField(path, "interface-typed values cannot be canonicalized")
+		return nil, &FieldError{Reason: "interface-typed values cannot be canonicalized"}
 	default:
-		return nil, badField(path, fmt.Sprintf("%s values cannot be canonicalized", v.Kind()))
+		return nil, &FieldError{Reason: fmt.Sprintf("%s values cannot be canonicalized", v.Kind())}
 	}
 }

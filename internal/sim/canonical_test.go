@@ -328,3 +328,17 @@ func FuzzCanonicalEncoding(f *testing.F) {
 		}
 	})
 }
+
+// TestCanonicalMachineAllocs gates the canonical walker's allocations: it
+// reads struct field metadata from its per-type cache and formats a field
+// path only for a rejection, so encoding a machine costs its output buffer,
+// not a string per field.
+func TestCanonicalMachineAllocs(t *testing.T) {
+	m := config.BDW()
+	if _, err := CanonicalMachine(m); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() { _, _ = CanonicalMachine(m) }); n > 3 {
+		t.Errorf("CanonicalMachine(BDW) allocates %v times, want <= 3", n)
+	}
+}

@@ -14,8 +14,18 @@ package workload
 // multi-cycle arithmetic; imagick strings single-cycle uops behind
 // multi-cycle producers; exchange2 is nearly all well-predicted ALU work.
 
-// SPECProfiles returns the 36 benchmark-input profiles in a stable order.
+// specProfiles is the profile table, built once. Profile holds only value
+// fields, so a Profile copied out of it shares nothing with the table.
+var specProfiles = buildSPECProfiles()
+
+// SPECProfiles returns the 36 benchmark-input profiles in a stable order,
+// in a fresh slice the caller may modify.
 func SPECProfiles() []Profile {
+	return append([]Profile(nil), specProfiles...)
+}
+
+// buildSPECProfiles assembles the profile table.
+func buildSPECProfiles() []Profile {
 	var out []Profile
 	add := func(p Profile) { out = append(out, p) }
 
@@ -101,9 +111,9 @@ func nameIdx(base string, i int) string {
 // SPECProfile returns a named profile ("mcf", "cactuBSSN", "bwaves-1", ...);
 // ok is false when the name is unknown.
 func SPECProfile(name string) (Profile, bool) {
-	for _, p := range SPECProfiles() {
-		if p.Name == name {
-			return p, true
+	for i := range specProfiles {
+		if specProfiles[i].Name == name {
+			return specProfiles[i], true
 		}
 	}
 	return Profile{}, false
@@ -111,10 +121,9 @@ func SPECProfile(name string) (Profile, bool) {
 
 // SPECNames lists all profile names in order.
 func SPECNames() []string {
-	ps := SPECProfiles()
-	names := make([]string, len(ps))
-	for i := range ps {
-		names[i] = ps[i].Name
+	names := make([]string, len(specProfiles))
+	for i := range specProfiles {
+		names[i] = specProfiles[i].Name
 	}
 	return names
 }

@@ -200,3 +200,26 @@ func TestGeneratorStructuralProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestSPECProfileTable checks that lookups read the table built once at
+// init: SPECProfile allocates nothing, and neither a returned Profile nor a
+// returned SPECProfiles slice aliases the table.
+func TestSPECProfileTable(t *testing.T) {
+	want, _ := SPECProfile("mcf")
+	if n := testing.AllocsPerRun(100, func() { _, _ = SPECProfile("mcf") }); n != 0 {
+		t.Errorf("SPECProfile allocates %v times, want 0", n)
+	}
+	p, _ := SPECProfile("mcf")
+	p.Seed++
+	p.LoadFrac = 0.9
+	ps := SPECProfiles()
+	for i := range ps {
+		ps[i].Name = "mutated"
+	}
+	if got, ok := SPECProfile("mcf"); !ok || got != want {
+		t.Fatalf("mutating returned profiles changed the next lookup: %+v, want %+v", got, want)
+	}
+	if SPECProfiles()[0].Name == "mutated" {
+		t.Fatal("SPECProfiles returned the table itself")
+	}
+}
