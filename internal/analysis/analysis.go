@@ -60,9 +60,9 @@ type Diagnostic struct {
 }
 
 // run applies every analyzer to one loaded package and returns the combined
-// diagnostics, tagged with the analyzer that produced them, in source order.
-func run(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, analyzers []*Analyzer) ([]taggedDiagnostic, error) {
-	var out []taggedDiagnostic
+// diagnostics, analyzer by analyzer.
+func run(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, analyzers []*Analyzer) ([]Diagnostic, error) {
+	var out []Diagnostic
 	for _, a := range analyzers {
 		pass := &Pass{
 			Analyzer:  a,
@@ -71,21 +71,14 @@ func run(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types
 			Pkg:       pkg,
 			TypesInfo: info,
 		}
-		name := a.Name
 		pass.Report = func(d Diagnostic) {
-			out = append(out, taggedDiagnostic{Analyzer: name, Diagnostic: d})
+			out = append(out, d)
 		}
 		if _, err := a.Run(pass); err != nil {
 			return nil, fmt.Errorf("analyzer %s: %v", a.Name, err)
 		}
 	}
 	return out, nil
-}
-
-// taggedDiagnostic pairs a diagnostic with the analyzer that raised it.
-type taggedDiagnostic struct {
-	Analyzer string
-	Diagnostic
 }
 
 // newInfo returns a types.Info with every map the analyzers consult.

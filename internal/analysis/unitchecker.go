@@ -43,7 +43,7 @@ type vetConfig struct {
 //
 //	tool -V=full        print a versioned identity line (for the build cache)
 //	tool -flags         print the JSON flag schema (we expose no flags)
-//	tool [-json] x.cfg  check one package described by a vet config file
+//	tool x.cfg          check one package described by a vet config file
 //
 // Any other argument list prints a usage line naming the `go vet` invocation
 // and exits 1.
@@ -62,14 +62,8 @@ func Main(progname string, analyzers ...*Analyzer) {
 		fmt.Println("[]")
 		return
 	}
-	// -json, ahead of the .cfg path, selects vet's JSON diagnostics format.
-	// cmd/go forwards it only to a tool whose -flags schema declares it.
-	jsonOut := len(args) > 0 && args[0] == "-json"
-	if jsonOut {
-		args = args[1:]
-	}
 	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		runUnitchecker(progname, args[0], jsonOut, analyzers)
+		runUnitchecker(progname, args[0], analyzers)
 		return
 	}
 	fmt.Fprintf(os.Stderr, "usage: go vet -vettool=$(which %s) ./...\n", progname)
@@ -93,7 +87,7 @@ func printVersion(progname string) {
 // runUnitchecker checks the single package described by cfgPath and exits
 // with code 0 (clean), 1 (driver error) or 2 (diagnostics found), matching
 // vet conventions.
-func runUnitchecker(progname, cfgPath string, jsonOut bool, analyzers []*Analyzer) {
+func runUnitchecker(progname, cfgPath string, analyzers []*Analyzer) {
 	data, err := os.ReadFile(cfgPath)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "%s: %v\n", progname, err)
@@ -157,7 +151,7 @@ func runUnitchecker(progname, cfgPath string, jsonOut bool, analyzers []*Analyze
 	if cfg.VetxOnly || len(diags) == 0 {
 		return
 	}
-	printDiagnostics(os.Stderr, fset, diags, jsonOut, cfg.ImportPath)
+	printDiagnostics(os.Stderr, fset, diags)
 	os.Exit(2)
 }
 
@@ -225,27 +219,9 @@ func typecheck(fset *token.FileSet, files []*ast.File, path string, imp types.Im
 }
 
 // printDiagnostics renders diagnostics in the plain `file:line:col: message`
-// form (or, with -json, the vet JSON object keyed by package and analyzer).
-func printDiagnostics(w io.Writer, fset *token.FileSet, diags []taggedDiagnostic, jsonOut bool, importPath string) {
-	if !jsonOut {
-		for _, d := range diags {
-			fmt.Fprintf(w, "%s: %s\n", fset.Position(d.Pos), d.Message)
-		}
-		return
-	}
-	type jsonDiag struct {
-		Posn    string `json:"posn"`
-		Message string `json:"message"`
-	}
-	byAnalyzer := make(map[string][]jsonDiag)
+// form.
+func printDiagnostics(w io.Writer, fset *token.FileSet, diags []Diagnostic) {
 	for _, d := range diags {
-		byAnalyzer[d.Analyzer] = append(byAnalyzer[d.Analyzer], jsonDiag{
-			Posn:    fset.Position(d.Pos).String(),
-			Message: d.Message,
-		})
+		fmt.Fprintf(w, "%s: %s\n", fset.Position(d.Pos), d.Message)
 	}
-	out := map[string]map[string][]jsonDiag{importPath: byAnalyzer}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "\t")
-	enc.Encode(out)
 }

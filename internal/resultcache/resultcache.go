@@ -19,6 +19,9 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"sync/atomic"
+
+	"perfstacks/internal/export"
+	"perfstacks/internal/sim"
 )
 
 // Key is a 32-byte content address.
@@ -97,13 +100,38 @@ func New(mem *Memory, disk *Disk) *Cache {
 // Get returns the payload stored under k, consulting memory first and
 // promoting disk hits into memory. The returned slice must not be modified.
 func (c *Cache) Get(k Key) ([]byte, bool) {
+	p, _, ok := c.lookup(k, false)
+	return p, ok
+}
+
+// Result returns the decoded result stored under k. The first call for an
+// entry decodes its payload with export.DecodeResult and memoizes the
+// decode beside the bytes in the memory tier; later calls return that same
+// pointer, so the result is shared and callers must not modify it. A disk
+// hit is decoded, then promoted with its decode. A payload that fails to
+// decode (an older schema, damaged bytes) is reported as a miss and never
+// memoized; Stats count the lookup exactly as Get does.
+func (c *Cache) Result(k Key) (*sim.Result, bool) {
+	_, res, ok := c.lookup(k, true)
+	return res, ok
+}
+
+// lookup walks the tiers for Get and, with decode, for Result.
+func (c *Cache) lookup(k Key, decode bool) ([]byte, *sim.Result, bool) {
 	if c == nil {
-		return nil, false
+		return nil, nil, false
 	}
 	if c.mem != nil {
-		if p, ok := c.mem.Get(k); ok {
+		if p, res, ok := c.mem.lookup(k); ok {
 			c.Stats.MemHits.Add(1)
-			return p, true
+			if decode && res == nil {
+				r, _, err := export.DecodeResult(p)
+				if err != nil {
+					return nil, nil, false
+				}
+				res = c.mem.memo(k, p, r)
+			}
+			return p, res, true
 		}
 	}
 	if c.disk != nil {
@@ -113,29 +141,49 @@ func (c *Cache) Get(k Key) ([]byte, bool) {
 		}
 		if ok {
 			c.Stats.DiskHits.Add(1)
-			if c.mem != nil {
-				c.mem.Put(k, p)
+			var res *sim.Result
+			if decode {
+				r, _, err := export.DecodeResult(p)
+				if err != nil {
+					return nil, nil, false
+				}
+				res = r
 			}
-			return p, true
+			if c.mem != nil {
+				c.mem.put(k, p, res, true)
+			}
+			return p, res, true
 		}
 	}
 	c.Stats.Misses.Add(1)
-	return nil, false
+	return nil, nil, false
 }
 
 // Put stores payload under k in every configured tier. Disk write failures
 // are returned but leave the memory tier populated — a full disk degrades
 // the cache, it does not fail the simulation that produced the payload.
+//
+// A Put of the bytes the memory tier already holds for k writes nothing
+// and keeps the entry's decode: with no disk tier there is nothing else to
+// do, and with one the entry must be known durable — written or read on
+// disk by this process — so a completed Put still survives a crash. Such a
+// Put still counts in Stats.Stores.
 func (c *Cache) Put(k Key, payload []byte) error {
 	if c == nil {
 		return nil
 	}
 	if c.mem != nil {
-		c.mem.Put(k, payload)
+		if same, onDisk := c.mem.put(k, payload, nil, false); same && (onDisk || c.disk == nil) {
+			c.Stats.Stores.Add(1)
+			return nil
+		}
 	}
 	var err error
 	if c.disk != nil {
 		err = c.disk.Put(k, payload)
+		if err == nil && c.mem != nil {
+			c.mem.markOnDisk(k, payload)
+		}
 	}
 	if err == nil {
 		c.Stats.Stores.Add(1)

@@ -60,10 +60,15 @@ func RunSPEC(c *Cache, m config.Machine, prof workload.Profile, uops uint64, opt
 	if err != nil {
 		return sim.Result{Err: err}, false
 	}
-	if payload, ok := c.Get(key); ok {
-		if r, _, err := export.DecodeResult(payload); err == nil {
-			return *r, true
+	if r, ok := c.Result(key); ok {
+		// r is shared with every other reader of the entry: hand the caller
+		// its own copy, Stacks included.
+		res = *r
+		if r.Stacks != nil {
+			stacks := *r.Stacks
+			res.Stacks = &stacks
 		}
+		return res, true
 	}
 	res = sim.Run(m, trace.NewLimit(workload.NewGenerator(prof), uops), opts)
 	if res.Err != nil {

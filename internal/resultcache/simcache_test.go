@@ -90,6 +90,32 @@ func TestRunSPECCacheRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRunSPECResultCallerOwned: a cache hit hands back the caller's own
+// copy of the memoized decode, so mutating its stacks leaves the next hit
+// unchanged.
+func TestRunSPECResultCallerOwned(t *testing.T) {
+	m, prof, opts := benchSetup(t)
+	c := New(NewMemory(1<<20), nil)
+	cold, _ := RunSPEC(c, m, prof, 5000, opts)
+	if cold.Err != nil {
+		t.Fatal(cold.Err)
+	}
+	warm, hit := RunSPEC(c, m, prof, 5000, opts)
+	if !hit || warm.Stacks == nil {
+		t.Fatalf("second run: hit=%v stacks=%v, want a hit with stacks", hit, warm.Stacks != nil)
+	}
+	want := *warm.Stacks
+	warm.Stacks.Stacks[0].Comp[0] += 1e6
+	warm.Stacks.Stacks[2].Cycles = -1
+	again, hit := RunSPEC(c, m, prof, 5000, opts)
+	if !hit {
+		t.Fatal("third run missed")
+	}
+	if again.Stacks == warm.Stacks || *again.Stacks != want {
+		t.Fatal("mutating one hit's stacks changed the next hit")
+	}
+}
+
 // A canceled simulation is partial data and must never be cached: an
 // interrupted sweep resumes by rerunning with the same cache, so a stored
 // partial result would be replayed as a measurement.

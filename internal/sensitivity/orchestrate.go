@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"perfstacks/internal/export"
 	"perfstacks/internal/resultcache"
@@ -46,11 +47,13 @@ type Orchestrator struct {
 	OnCell func(Progress)
 }
 
-// Execute runs the plan to completion. On any cell error the remaining
-// cells are canceled and the first error is returned — a partial plan is
-// not a measurement, so no report is built (completed cells stay in
-// whatever cache the runner populated, which is exactly what makes a retry
-// cheap). Execute joins every in-flight cell before returning.
+// Execute runs the plan to completion on min(Concurrency, len(Cells))
+// workers, each taking the next unstarted cell until none is left. On any
+// cell error the remaining cells are canceled and the first error is
+// returned — a partial plan is not a measurement, so no report is built
+// (completed cells stay in whatever cache the runner populated, which is
+// exactly what makes a retry cheap). Execute joins every worker before
+// returning.
 func (o *Orchestrator) Execute(ctx context.Context, p *Plan) (*Report, error) {
 	if o.Run == nil {
 		return nil, fmt.Errorf("sensitivity: Orchestrator.Run is nil")
@@ -64,48 +67,51 @@ func (o *Orchestrator) Execute(ctx context.Context, p *Plan) (*Report, error) {
 	defer cancel()
 
 	outcomes := make([]CellOutcome, len(p.Cells))
-	sem := make(chan struct{}, conc)
 	var (
+		next     atomic.Int64 // index of the next unstarted cell
 		wg       sync.WaitGroup
 		mu       sync.Mutex
 		firstErr error
 		done     int
 	)
-launch:
-	for i := range p.Cells {
-		select {
-		case sem <- struct{}{}:
-		case <-cctx.Done():
-			break launch
-		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			out, err := o.Run(cctx, p, p.Cells[i])
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				if firstErr == nil {
-					cell := p.Cells[i]
-					label := cell.Variant
-					if cell.Param != "" {
-						label = cell.Param + "/" + cell.Variant
-					}
-					firstErr = fmt.Errorf("sensitivity: cell %s: %w", label, err)
-					cancel()
+	record := func(i int, out CellOutcome, err error) {
+		mu.Lock()
+		defer mu.Unlock()
+		if err != nil {
+			if firstErr == nil {
+				cell := p.Cells[i]
+				label := cell.Variant
+				if cell.Param != "" {
+					label = cell.Param + "/" + cell.Variant
 				}
-				return
+				firstErr = fmt.Errorf("sensitivity: cell %s: %w", label, err)
+				cancel()
 			}
-			outcomes[i] = out
-			done++
-			if o.OnCell != nil {
-				o.OnCell(Progress{
-					Index: i, Done: done, Total: len(p.Cells),
-					Cell: p.Cells[i], CPI: out.Result.CPIOf(), Source: out.Source,
-				})
+			return
+		}
+		outcomes[i] = out
+		done++
+		if o.OnCell != nil {
+			o.OnCell(Progress{
+				Index: i, Done: done, Total: len(p.Cells),
+				Cell: p.Cells[i], CPI: out.Result.CPIOf(), Source: out.Source,
+			})
+		}
+	}
+	workers := min(conc, len(p.Cells))
+	wg.Add(workers)
+	for range workers {
+		go func() {
+			defer wg.Done()
+			for cctx.Err() == nil {
+				i := int(next.Add(1) - 1)
+				if i >= len(p.Cells) {
+					return
+				}
+				out, err := o.Run(cctx, p, p.Cells[i])
+				record(i, out, err)
 			}
-		}(i)
+		}()
 	}
 	wg.Wait()
 	if firstErr != nil {
@@ -129,14 +135,10 @@ func LocalRunner(pool *runner.Pool, cache *resultcache.Cache) RunCellFunc {
 		if key == (resultcache.Key{}) {
 			return CellOutcome{}, ErrNoCellKey
 		}
-		if cache != nil {
-			if payload, ok := cache.Get(key); ok {
-				res, _, err := export.DecodeResult(payload)
-				if err == nil {
-					return CellOutcome{Result: res, Source: SourceCache}, nil
-				}
-				// A corrupt entry degrades to recomputation.
-			}
+		// An entry that fails to decode is a miss: it degrades to
+		// recomputation.
+		if res, ok := cache.Result(key); ok {
+			return CellOutcome{Result: res, Source: SourceCache}, nil
 		}
 		var res sim.Result
 		job := func(jctx context.Context) error {

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"perfstacks/internal/config"
 	"perfstacks/internal/resultcache"
@@ -146,6 +147,72 @@ func TestOrchestratorFirstErrorCancels(t *testing.T) {
 	}
 	if n := int(calls.Load()); n >= len(p.Cells) {
 		t.Fatalf("all %d cells ran despite an early error", n)
+	}
+}
+
+// TestOrchestratorWorkersBounded: no more than Concurrency Run calls are
+// ever in flight, and every cell runs exactly once.
+func TestOrchestratorWorkersBounded(t *testing.T) {
+	p := testPlan(t, PlanOptions{}, 5_000)
+	const conc = 3
+	var inFlight, peak atomic.Int32
+	runs := make([]atomic.Int32, len(p.Cells))
+	index := make(map[Cell]int, len(p.Cells))
+	for i, c := range p.Cells {
+		index[c] = i
+	}
+	run := func(ctx context.Context, _ *Plan, cell Cell) (CellOutcome, error) {
+		n := inFlight.Add(1)
+		defer inFlight.Add(-1)
+		for {
+			old := peak.Load()
+			if n <= old || peak.CompareAndSwap(old, n) {
+				break
+			}
+		}
+		runs[index[cell]].Add(1)
+		time.Sleep(100 * time.Microsecond)
+		return CellOutcome{Result: &sim.Result{}, Source: SourceSim}, nil
+	}
+	orch := &Orchestrator{Run: run, Concurrency: conc}
+	if _, err := orch.Execute(context.Background(), p); err != nil {
+		t.Fatal(err)
+	}
+	if got := peak.Load(); got > conc {
+		t.Fatalf("%d Run calls in flight, want <= %d", got, conc)
+	}
+	for i := range runs {
+		if n := runs[i].Load(); n != 1 {
+			t.Fatalf("cell %d ran %d times, want 1", i, n)
+		}
+	}
+}
+
+// TestOrchestratorErrorStopsWorkers: once a cell fails, no worker starts
+// another cell, so at most one cell per worker ever starts.
+func TestOrchestratorErrorStopsWorkers(t *testing.T) {
+	p := testPlan(t, PlanOptions{}, 5_000)
+	boom := errors.New("boom")
+	for _, conc := range []int{1, 2, 4} {
+		var calls atomic.Int32
+		run := func(ctx context.Context, _ *Plan, cell Cell) (CellOutcome, error) {
+			calls.Add(1)
+			if cell.Kind == KindBaseline {
+				return CellOutcome{}, boom
+			}
+			<-ctx.Done()
+			return CellOutcome{}, ctx.Err()
+		}
+		orch := &Orchestrator{Run: run, Concurrency: conc}
+		for rep := 0; rep < 20; rep++ {
+			calls.Store(0)
+			if _, err := orch.Execute(context.Background(), p); !errors.Is(err, boom) {
+				t.Fatalf("concurrency %d: got %v, want the cell's error", conc, err)
+			}
+			if n := int(calls.Load()); n > conc {
+				t.Fatalf("concurrency %d: %d cells started after the first failed", conc, n)
+			}
+		}
 	}
 }
 

@@ -26,6 +26,8 @@ const (
 
 // CellOutcome is one cell's measured result and its provenance.
 type CellOutcome struct {
+	// Result is read-only: a cell served from the result cache shares it
+	// with every other plan that reads the same entry.
 	Result *sim.Result
 	Source string
 }

@@ -6,8 +6,10 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 )
 
 const benchBody = `{"machine":"BDW","workload":{"profile":"mcf","uops":100000}}`
@@ -75,4 +77,44 @@ func BenchmarkServiceColdSim(b *testing.B) {
 			b.Fatalf("status %d", resp.StatusCode)
 		}
 	}
+}
+
+// BenchmarkPlanRecompute measures a warm "recompute":true re-POST of the
+// default 79-cell mcf/BDW/5000-uop sensitivity plan on a server with memory
+// and disk tiers: every cell is a cache hit and the report bytes match the
+// stored report. p50_us is the median request.
+func BenchmarkPlanRecompute(b *testing.B) {
+	s, err := New(context.Background(), Config{CacheDir: b.TempDir()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	const body = `{"machine":"BDW","workload":{"profile":"mcf","uops":5000},"recompute":true}`
+	post := func() {
+		resp, err := http.Post(ts.URL+"/v1/sensitivity", "application/json", strings.NewReader(body))
+		if err != nil {
+			b.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			b.Fatalf("status %d", resp.StatusCode)
+		}
+	}
+	post() // simulates every cell and stores the report
+	post() // first recompute: decodes every cell once
+
+	lat := make([]time.Duration, 0, b.N)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		t0 := time.Now()
+		post()
+		lat = append(lat, time.Since(t0))
+	}
+	b.StopTimer()
+	slices.Sort(lat)
+	b.ReportMetric(float64(lat[len(lat)/2].Nanoseconds())/1e3, "p50_us")
 }

@@ -224,12 +224,11 @@ func (s *Server) runPlanCell(ctx context.Context, p *sensitivity.Plan, cell sens
 	if key == (resultcache.Key{}) {
 		return sensitivity.CellOutcome{}, sensitivity.ErrNoCellKey
 	}
-	if payload, ok := s.cache.Get(key); ok {
-		if res, _, err := export.DecodeResult(payload); err == nil {
-			s.metrics.cellSource(sensitivity.SourceCache)
-			return sensitivity.CellOutcome{Result: res, Source: sensitivity.SourceCache}, nil
-		}
-		// A corrupt entry degrades to recomputation.
+	// An entry that fails to decode is a miss: it degrades to
+	// recomputation.
+	if res, ok := s.cache.Result(key); ok {
+		s.metrics.cellSource(sensitivity.SourceCache)
+		return sensitivity.CellOutcome{Result: res, Source: sensitivity.SourceCache}, nil
 	}
 	cp := &plan{
 		key:      key,
