@@ -294,3 +294,28 @@ func TestTableICachedRerunIsByteIdentical(t *testing.T) {
 		t.Fatalf("cached render differs from the uncached one:\n--- cached\n%s\n--- uncached\n%s", first, uncached)
 	}
 }
+
+// TestAblationClaims pins the two ablation claims EXPERIMENTS.md quotes:
+// min-width normalization keeps mcf/BDW's base component equal at all
+// three stages while per-stage widths shrink the 6-wide issue stage's; and
+// bwaves' perfect-I-cache gain escapes the multi-stage range with the L2
+// prefetcher on and falls inside it with the prefetcher off.
+func TestAblationClaims(t *testing.T) {
+	r := Ablation(QuickSpec())
+	base := func(ms *core.MultiStack, s core.Stage) float64 { return ms.Stack(s).CPI(core.CompBase) }
+	disp := base(r.MinWidth, core.StageDispatch)
+	for _, s := range []core.Stage{core.StageIssue, core.StageCommit} {
+		if b := base(r.MinWidth, s); absf(b-disp) > 0.001 {
+			t.Errorf("min-width: %s base %.4f vs dispatch %.4f, want equal within 0.001", s, b, disp)
+		}
+	}
+	if iss, d := base(r.StageWidth, core.StageIssue), base(r.StageWidth, core.StageDispatch); iss >= 0.8*d {
+		t.Errorf("per-stage widths: issue base %.4f not below 0.8x dispatch base %.4f", iss, d)
+	}
+	if !r.PFOnViolates {
+		t.Errorf("prefetcher on: gain %.3f inside [%.3f, %.3f], want outside", r.PFOn.Actual, r.PFOn.Lo, r.PFOn.Hi)
+	}
+	if r.PFOffViolates {
+		t.Errorf("prefetcher off: gain %.3f outside [%.3f, %.3f], want inside", r.PFOff.Actual, r.PFOff.Lo, r.PFOff.Hi)
+	}
+}

@@ -24,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -199,9 +200,29 @@ func cacheLevels() []cacheLevel {
 	}
 }
 
+// registry is the parameter table in declaration order, built once: its
+// closures capture only field accessors, so every plan reads the same
+// entries. paramGroup maps each parameter name to its group.
+var (
+	registry   = buildParameters()
+	paramGroup = groupsOf(registry)
+)
+
 // Parameters returns the full parameter registry in declaration order (the
 // order is part of the plan's canonical cell sequence, so it is stable).
-func Parameters() []Parameter {
+// The slice is the caller's copy.
+func Parameters() []Parameter { return slices.Clone(registry) }
+
+func groupsOf(ps []Parameter) map[string]string {
+	groups := make(map[string]string, len(ps))
+	for _, p := range ps {
+		groups[p.Name] = p.Group
+	}
+	return groups
+}
+
+// buildParameters constructs the registry.
+func buildParameters() []Parameter {
 	intKnob := func(name, group, doc string, get func(m *config.Machine) *int, floor int, unbounded bool) Parameter {
 		p := Parameter{
 			Name: name, Group: group, Doc: doc,
@@ -328,11 +349,11 @@ func Parameters() []Parameter {
 }
 
 // selectParameters resolves names (parameter or group) to registry entries,
-// preserving registry order and deduplicating.
+// preserving registry order and deduplicating. The result may share the
+// registry's backing array: callers only read it.
 func selectParameters(names []string) ([]Parameter, error) {
-	all := Parameters()
 	if len(names) == 0 {
-		return all, nil
+		return registry, nil
 	}
 	want := make(map[string]bool, len(names))
 	for _, n := range names {
@@ -340,7 +361,7 @@ func selectParameters(names []string) ([]Parameter, error) {
 	}
 	matched := make(map[string]bool, len(names))
 	var out []Parameter
-	for _, p := range all {
+	for _, p := range registry {
 		if want[p.Name] || want[p.Group] {
 			out = append(out, p)
 			matched[p.Name] = true
@@ -424,13 +445,17 @@ func NewPlan(m config.Machine, prof workload.Profile, uops uint64, opts sim.Opti
 		Profile:  prof,
 		Uops:     uops,
 		Opts:     opts,
-		Cells: []Cell{{
-			Variant: KindBaseline, Kind: KindBaseline, Machine: m,
-			Key: resultcache.SimKeyOf(baseBytes, optBytes, wlBytes),
-		}},
+		// Each parameter yields at most its variants plus two endpoints.
+		Cells: make([]Cell, 1, 1+len(params)*(len(variants)+2)),
+	}
+	p.Cells[0] = Cell{
+		Variant: KindBaseline, Kind: KindBaseline, Machine: m,
+		Key: resultcache.SimKeyOf(baseBytes, optBytes, wlBytes),
 	}
 
-	addCell := func(c Cell, seen map[string]bool) error {
+	// seen holds the machine bytes of the current parameter's cells.
+	seen := make(map[string]bool)
+	addCell := func(c *Cell) error {
 		if err := c.Machine.Validate(); err != nil {
 			return fmt.Errorf("sensitivity: %s/%s: %w", c.Param, c.Variant, err)
 		}
@@ -445,16 +470,16 @@ func NewPlan(m config.Machine, prof workload.Profile, uops uint64, opts sim.Opti
 		}
 		seen[string(mb)] = true
 		c.Key = resultcache.SimKeyOf(mb, optBytes, wlBytes)
-		p.Cells = append(p.Cells, c)
+		p.Cells = append(p.Cells, *c)
 		return nil
 	}
 
 	for _, par := range params {
-		seen := make(map[string]bool)
+		clear(seen)
 		for _, f := range variants {
-			mm := m
-			par.apply(&mm, f)
-			if err := addCell(Cell{Param: par.Name, Variant: variantLabel(f), Kind: KindScale, Scale: f, Machine: mm}, seen); err != nil {
+			c := Cell{Param: par.Name, Variant: variantLabel(f), Kind: KindScale, Scale: f, Machine: m}
+			par.apply(&c.Machine, f)
+			if err := addCell(&c); err != nil {
 				return nil, err
 			}
 		}
@@ -462,16 +487,16 @@ func NewPlan(m config.Machine, prof workload.Profile, uops uint64, opts sim.Opti
 			continue
 		}
 		if par.inf != nil {
-			mm := m
-			par.inf(&mm)
-			if err := addCell(Cell{Param: par.Name, Variant: KindInf, Kind: KindInf, Machine: mm}, seen); err != nil {
+			c := Cell{Param: par.Name, Variant: KindInf, Kind: KindInf, Machine: m}
+			par.inf(&c.Machine)
+			if err := addCell(&c); err != nil {
 				return nil, err
 			}
 		}
 		if par.ideal != nil {
-			mm := m
-			par.ideal(&mm)
-			if err := addCell(Cell{Param: par.Name, Variant: KindIdeal, Kind: KindIdeal, Component: par.component, Machine: mm}, seen); err != nil {
+			c := Cell{Param: par.Name, Variant: KindIdeal, Kind: KindIdeal, Component: par.component, Machine: m}
+			par.ideal(&c.Machine)
+			if err := addCell(&c); err != nil {
 				return nil, err
 			}
 		}

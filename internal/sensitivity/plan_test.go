@@ -89,6 +89,29 @@ func TestPlanParamSelection(t *testing.T) {
 	}
 }
 
+// TestParametersIsACopy: the registry is built once, so a caller that
+// edits the slice Parameters returns must not reach the next caller, and a
+// call costs only that copy.
+func TestParametersIsACopy(t *testing.T) {
+	want := Parameters()
+	got := Parameters()
+	for i := range got {
+		got[i].Name, got[i].Group, got[i].apply = "clobbered", "clobbered", nil
+	}
+	again := Parameters()
+	if len(again) != len(want) {
+		t.Fatalf("registry has %d entries after a caller's edit, want %d", len(again), len(want))
+	}
+	for i := range again {
+		if again[i].Name != want[i].Name || again[i].Group != want[i].Group || again[i].apply == nil {
+			t.Fatalf("entry %d = %s/%s after a caller's edit, want %s/%s", i, again[i].Name, again[i].Group, want[i].Name, want[i].Group)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = Parameters() }); n != 1 {
+		t.Fatalf("Parameters allocates %v times per call, want 1 (the copy)", n)
+	}
+}
+
 func TestPlanVariantValidation(t *testing.T) {
 	for _, bad := range [][]float64{{0}, {-2}, {1}, {65}, {2, 2}, {0.5, 2, 4, 8, 16, 32, 0.25, 0.125, 0.0625}} {
 		if _, err := NewPlan(config.BDW(), mustProfile(t, "mcf"), 10_000, sim.Options{}, PlanOptions{Variants: bad}); !errors.Is(err, sim.ErrBadValue) {

@@ -134,10 +134,6 @@ func BuildReport(p *Plan, outcomes []CellOutcome) (*Report, error) {
 	}
 
 	scores := make(map[string]*ParamScore)
-	groups := make(map[string]string)
-	for _, par := range Parameters() {
-		groups[par.Name] = par.Group
-	}
 	for i, o := range outcomes {
 		cell := p.Cells[i]
 		cpi := o.Result.CPIOf()
@@ -160,7 +156,7 @@ func BuildReport(p *Plan, outcomes []CellOutcome) (*Report, error) {
 		sc := scores[cell.Param]
 		if sc == nil {
 			sc = &ParamScore{
-				Param: cell.Param, Group: groups[cell.Param],
+				Param: cell.Param, Group: paramGroup[cell.Param],
 				BestVariant: cell.Variant, BestCPI: cpi,
 				WorstVariant: cell.Variant, WorstCPI: cpi,
 			}

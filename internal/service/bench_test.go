@@ -118,3 +118,31 @@ func BenchmarkPlanRecompute(b *testing.B) {
 	slices.Sort(lat)
 	b.ReportMetric(float64(lat[len(lat)/2].Nanoseconds())/1e3, "p50_us")
 }
+
+// BenchmarkResolveSensitivity measures resolving the default 79-cell
+// mcf/BDW/5000-uop plan request: cold expands the plan and derives its key
+// (sensitivity.NewPlan + Plan.Key), memo finds both in the plan memo.
+func BenchmarkResolveSensitivity(b *testing.B) {
+	req := &SensitivityRequest{Machine: "BDW", Workload: &WorkloadSpec{Profile: "mcf", Uops: 5000}}
+	b.Run("cold", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := (&Server{}).resolveSensitivity(req); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("memo", func(b *testing.B) {
+		s := &Server{}
+		if _, err := s.resolveSensitivity(req); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := s.resolveSensitivity(req); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

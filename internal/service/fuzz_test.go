@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"perfstacks/internal/sim"
@@ -72,6 +73,8 @@ func FuzzSimulateRequest(f *testing.F) {
 // FuzzSensitivityRequest is FuzzSimulateRequest for /v1/sensitivity: the
 // decode and plan-expansion steps never panic, fail only with
 // sim.ErrBadValue, and key a re-marshalled request's report identically.
+// Each accepted request resolves twice, the second time from the plan
+// memo, and both resolutions match one that bypasses the memo.
 func FuzzSensitivityRequest(f *testing.F) {
 	s := &Server{}
 	for _, seed := range []string{
@@ -96,7 +99,26 @@ func FuzzSensitivityRequest(f *testing.F) {
 		sp, err := s.resolveSensitivity(req)
 		if err != nil {
 			badValue(t, err)
+			if mk, ok := memoKeyOf(req); ok {
+				if _, held := s.plans.get(mk); held {
+					t.Fatalf("rejected request %s is memoized", body)
+				}
+			}
 			return
+		}
+		hit, err := s.resolveSensitivity(req)
+		if err != nil {
+			t.Fatalf("second resolution of %s: %v", body, err)
+		}
+		fresh, err := expandSensitivity(req)
+		if err != nil {
+			t.Fatalf("uncached resolution of %s: %v", body, err)
+		}
+		if hit.plan != sp.plan {
+			t.Fatalf("second resolution of %s missed the plan memo", body)
+		}
+		if sp.key != fresh.key || hit.key != fresh.key || !reflect.DeepEqual(sp.plan, fresh.plan) {
+			t.Fatalf("memoized resolution of %s differs from an uncached one", body)
 		}
 		again, err := json.Marshal(req)
 		if err != nil {

@@ -7,11 +7,13 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"reflect"
 	"strconv"
 	"time"
 
 	"perfstacks/internal/config"
 	"perfstacks/internal/export"
+	"perfstacks/internal/invariant"
 	"perfstacks/internal/resultcache"
 	"perfstacks/internal/runner"
 	"perfstacks/internal/sensitivity"
@@ -56,10 +58,10 @@ type SensitivityRequest struct {
 var errPlanSaturated = errors.New("service: all sensitivity plan slots are busy")
 
 // sensPlan is a resolved sensitivity request: the expanded perturbation
-// plan plus the content-addressed key of its finished report.
+// plan and the content-addressed key of its finished report, plus how this
+// request runs it.
 type sensPlan struct {
-	plan      *sensitivity.Plan
-	key       resultcache.Key
+	resolvedPlan
 	recompute bool
 }
 
@@ -77,27 +79,69 @@ func parseSensitivityRequest(body io.Reader) (*SensitivityRequest, error) {
 	return &req, nil
 }
 
-// resolveSensitivity expands the request into a validated plan. All errors
-// are client errors: sensitivity.NewPlan wraps them in sim.ErrBadValue.
+// resolveSensitivity expands the request into a validated plan, once per
+// process for each distinct request: a repeat, recomputing or not, reuses
+// the memoized plan and key. All errors are client errors
+// (sensitivity.NewPlan wraps them in sim.ErrBadValue) and are never
+// memoized.
 func (s *Server) resolveSensitivity(req *SensitivityRequest) (*sensPlan, error) {
+	mk, memoizable := memoKeyOf(req)
+	if memoizable {
+		if rp, ok := s.plans.get(mk); ok {
+			if invariant.Enabled {
+				checkMemoHit(req, rp)
+			}
+			return &sensPlan{resolvedPlan: rp, recompute: req.Recompute}, nil
+		}
+	}
+	rp, err := expandSensitivity(req)
+	if err != nil {
+		return nil, err
+	}
+	if memoizable {
+		s.plans.put(mk, rp)
+	}
+	return &sensPlan{resolvedPlan: rp, recompute: req.Recompute}, nil
+}
+
+// memoKeyOf keys the plan memo: the canonical bytes of every request field
+// except Recompute, which selects how the plan runs, not what it is. The
+// walker encodes each field of the request and its WorkloadSpec, so a field
+// added later joins the key unlisted. A request that does not encode (a NaN
+// or infinite variant, which NewPlan rejects) is not memoizable.
+func memoKeyOf(req *SensitivityRequest) (resultcache.Key, bool) {
+	r := *req
+	r.Recompute = false
+	b, err := sim.CanonicalBytes("service.SensitivityRequest", r)
+	if err != nil {
+		return resultcache.Key{}, false
+	}
+	return resultcache.KeyOf(b), true
+}
+
+// expandSensitivity resolves the request without the memo. It reads only
+// the request and fixed tables (config.ByName, workload.SPECProfile, the
+// parameter registry, the schema versions), which is what makes memoizing
+// its result sound.
+func expandSensitivity(req *SensitivityRequest) (resolvedPlan, error) {
 	machineName := req.Machine
 	if machineName == "" {
 		machineName = "BDW"
 	}
 	m, err := config.ByName(machineName)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", sim.ErrBadValue, err)
+		return resolvedPlan{}, fmt.Errorf("%w: %v", sim.ErrBadValue, err)
 	}
 	if req.Workload == nil {
-		return nil, fmt.Errorf("%w: sensitivity requires a generator workload", sim.ErrBadValue)
+		return resolvedPlan{}, fmt.Errorf("%w: sensitivity requires a generator workload", sim.ErrBadValue)
 	}
 	prof, ok := workload.SPECProfile(req.Workload.Profile)
 	if !ok {
-		return nil, fmt.Errorf("%w: unknown workload profile %q", sim.ErrBadValue, req.Workload.Profile)
+		return resolvedPlan{}, fmt.Errorf("%w: unknown workload profile %q", sim.ErrBadValue, req.Workload.Profile)
 	}
 	opts := sim.Options{WarmupUops: req.Warmup}
 	if opts.Scheme, err = sim.ParseScheme(req.Scheme); err != nil {
-		return nil, err
+		return resolvedPlan{}, err
 	}
 	p, err := sensitivity.NewPlan(m, prof, req.Workload.Uops, opts, sensitivity.PlanOptions{
 		Params:      req.Params,
@@ -105,13 +149,22 @@ func (s *Server) resolveSensitivity(req *SensitivityRequest) (*sensPlan, error) 
 		NoEndpoints: req.NoEndpoints,
 	})
 	if err != nil {
-		return nil, err
+		return resolvedPlan{}, err
 	}
 	key, err := p.Key()
 	if err != nil {
-		return nil, err
+		return resolvedPlan{}, err
 	}
-	return &sensPlan{plan: p, key: key, recompute: req.Recompute}, nil
+	return resolvedPlan{plan: p, key: key}, nil
+}
+
+// checkMemoHit re-resolves a memo hit without the memo and panics unless it
+// matches: a mismatch is an incomplete memo key or a write to a shared plan.
+func checkMemoHit(req *SensitivityRequest, rp resolvedPlan) {
+	fresh, err := expandSensitivity(req)
+	invariant.Assertf(err == nil, "plan memo: memoized request no longer resolves: %v", err)
+	invariant.Assertf(fresh.key == rp.key, "plan memo: plan key %s, fresh resolution %s", rp.key, fresh.key)
+	invariant.Assertf(reflect.DeepEqual(fresh.plan, rp.plan), "plan memo: memoized plan %s differs from a fresh resolution", rp.key)
 }
 
 // handleSensitivity serves POST /v1/sensitivity.

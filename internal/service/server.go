@@ -59,6 +59,7 @@ type Server struct {
 	metrics  *metrics
 	logf     func(format string, args ...any)
 	workers  int
+	plans    planMemo // resolved sensitivity plans by request
 
 	// runSim is the simulation entry point; tests swap it to count and
 	// block simulations without burning CPU. runSMP is its gang-request
