@@ -279,12 +279,41 @@ func BenchmarkBatchIngest(b *testing.B) {
 	})
 }
 
-func BenchmarkGemmGenerator(b *testing.B) {
-	g := workload.NewGemm(workload.StyleKNL, workload.GemmTrain()[0], 16, 1, 0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.Next()
+// BenchmarkKernelGenerator compares the DeepBench kernels' scalar and
+// batched paths, as BenchmarkTraceGeneration does for the synthetic
+// generator: per-uop Next against ReadBatch generating in place into a
+// reusable buffer. The streams are bit-identical (see
+// workload.TestKernelBatchScalarEquivalence).
+func BenchmarkKernelGenerator(b *testing.B) {
+	kernels := []struct {
+		name string
+		mk   func() trace.BatchReader
+	}{
+		{"gemm", func() trace.BatchReader {
+			return workload.NewGemm(workload.StyleKNL, workload.GemmTrain()[0], 16, 1, 0)
+		}},
+		{"conv", func() trace.BatchReader {
+			return workload.NewConv(workload.StyleSKX, workload.ConvTrain()[6], workload.ConvFwd, 16, 1, 0)
+		}},
+	}
+	for _, k := range kernels {
+		b.Run(k.name+"/scalar", func(b *testing.B) {
+			g := k.mk()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				g.Next()
+			}
+		})
+		b.Run(k.name+"/batch", func(b *testing.B) {
+			g := k.mk()
+			buf := make([]trace.Uop, 256)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for done := 0; done < b.N; {
+				done += g.ReadBatch(buf[:min(len(buf), b.N-done)])
+			}
+		})
 	}
 }
 

@@ -91,8 +91,10 @@ func BenchmarkCoreStepMemBound(b *testing.B) {
 //     squashes; the memory-bound profile queues misses far enough out that
 //     the window holds completion-calendar events beyond the wheel, in the
 //     overflow list.
-//   - A GEMM kernel is fed unwrapped, so the core reads it through the
-//     generic scalar-to-batch adapter.
+//   - A GEMM kernel and the SMP gang's conv kernels are each wrapped
+//     directly in a batchOnly, so they must generate in bulk.
+//   - One GEMM cell hides the kernel's ReadBatch, so the core reads it
+//     through the generic scalar-to-batch adapter.
 //   - An in-memory Slice feeds a Step-only cell.
 //   - A 4-core SMP gang steps over a 4-slice shared L3.
 //
@@ -121,6 +123,16 @@ func TestHotPathZeroAlloc(t *testing.T) {
 			return []*cpu.Core{c}, c.Step
 		}
 	}
+	// gemm builds an SKX GEMM cell whose kernel reaches the core through
+	// wrap.
+	gemm := func(wrap func(*workload.Gemm) trace.Reader) func(*testing.T, *sampleCount) ([]*cpu.Core, func() bool) {
+		return func(t *testing.T, sink *sampleCount) ([]*cpu.Core, func() bool) {
+			m := config.SKX()
+			g := workload.NewGemm(workload.StyleSKX, workload.GemmTrain()[0], m.Core.VectorLanes, 1, 0)
+			c := hotCore(m, cache.NewHierarchy(m.Hierarchy), wrap(g), core.WrongPathOracle, sink)
+			return []*cpu.Core{c}, c.Step
+		}
+	}
 	cells := []struct {
 		name  string
 		build func(*testing.T, *sampleCount) ([]*cpu.Core, func() bool)
@@ -133,12 +145,12 @@ func TestHotPathZeroAlloc(t *testing.T) {
 		{name: "mcf-BDW", build: spec("mcf", config.BDW(), cpu.WrongPathNone, core.WrongPathOracle), spill: true},
 		{name: "gcc-1-BDW", build: spec("gcc-1", config.BDW(), cpu.WrongPathNone, core.WrongPathOracle)},
 		{name: "lbm-KNL", build: spec("lbm", config.KNL(), cpu.WrongPathNone, core.WrongPathOracle)},
-		{name: "gemm-SKX", build: func(t *testing.T, sink *sampleCount) ([]*cpu.Core, func() bool) {
-			m := config.SKX()
-			g := workload.NewGemm(workload.StyleSKX, workload.GemmTrain()[0], m.Core.VectorLanes, 1, 0)
-			c := hotCore(m, cache.NewHierarchy(m.Hierarchy), g, core.WrongPathOracle, sink)
-			return []*cpu.Core{c}, c.Step
-		}},
+		{name: "gemm-SKX", build: gemm(func(g *workload.Gemm) trace.Reader {
+			return batchOnly{g}
+		})},
+		{name: "gemm-SKX-adapter", build: gemm(func(g *workload.Gemm) trace.Reader {
+			return struct{ trace.Reader }{g}
+		})},
 		{name: "mcf-KNL-slice", stepOnly: true, spill: true, build: func(t *testing.T, sink *sampleCount) ([]*cpu.Core, func() bool) {
 			m := config.KNL()
 			c := cpu.New(m.Core, cache.NewHierarchy(m.Hierarchy), bpred.NewTournament(m.Bpred),
@@ -159,7 +171,8 @@ func TestHotPathZeroAlloc(t *testing.T) {
 				conv := workload.NewConv(workload.StyleSKX, workload.ConvTrain()[6], workload.ConvFwd,
 					m.Core.VectorLanes, uint64(i)*977+13, 5_000)
 				conv.SetExtraOverhead(i % 3)
-				cores[i] = hotCore(m, cache.NewHierarchyShared(m.Hierarchy, shared), conv, core.WrongPathOracle, sink)
+				cores[i] = hotCore(m, cache.NewHierarchyShared(m.Hierarchy, shared),
+					batchOnly{conv}, core.WrongPathOracle, sink)
 			}
 			return cores, cpu.NewSMP(cores).Step
 		}},
@@ -216,7 +229,7 @@ func TestHotPathZeroAlloc(t *testing.T) {
 
 // batchOnly is a trace source the core may read only in batches: its
 // scalar Next panics, so a per-uop refill on the hot path fails the test.
-type batchOnly struct{ *trace.Counter }
+type batchOnly struct{ trace.BatchReader }
 
 func (batchOnly) Next() (trace.Uop, bool) {
 	panic("scalar trace.Reader.Next on the cpu hot path; batch through ReadBatch")

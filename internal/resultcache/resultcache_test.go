@@ -333,6 +333,53 @@ func TestSingleflightRefcountedCancel(t *testing.T) {
 	}
 }
 
+// TestSingleflightAbandonedNotJoinable: once a flight's only waiter has
+// left, a new caller for the same key must lead a fresh flight and get its
+// payload, even while the canceled producer has not yet returned.
+func TestSingleflightAbandonedNotJoinable(t *testing.T) {
+	g := NewGroup(context.Background())
+	started, release := make(chan struct{}), make(chan struct{})
+	defer close(release)
+	stale := func(ctx context.Context) ([]byte, error) {
+		close(started)
+		<-ctx.Done()
+		<-release // keep running past the cancel
+		return nil, ctx.Err()
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	errs := make(chan error, 1)
+	go func() {
+		_, err, _ := g.Do(ctx, key("k"), stale)
+		errs <- err
+	}()
+	<-started
+	cancel()
+	if err := <-errs; !errors.Is(err, context.Canceled) {
+		t.Fatalf("abandoning caller got %v, want context.Canceled", err)
+	}
+
+	type result struct {
+		payload []byte
+		err     error
+		leader  bool
+	}
+	fresh := make(chan result, 1)
+	go func() {
+		p, err, leader := g.Do(context.Background(), key("k"), func(context.Context) ([]byte, error) {
+			return []byte("fresh"), nil
+		})
+		fresh <- result{p, err, leader}
+	}()
+	select {
+	case r := <-fresh:
+		if r.err != nil || !r.leader || string(r.payload) != "fresh" {
+			t.Fatalf("fresh Do = (%q, %v, leader=%t), want (\"fresh\", nil, leader=true)", r.payload, r.err, r.leader)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("fresh Do joined the abandoned flight")
+	}
+}
+
 // TestSingleflightBaseCancel proves the drain path: canceling the group's
 // base context stops producers even with live waiters.
 func TestSingleflightBaseCancel(t *testing.T) {

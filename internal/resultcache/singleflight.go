@@ -59,7 +59,11 @@ func (g *Group) Do(req context.Context, k Key, fn func(ctx context.Context) ([]b
 		go func() {
 			f.payload, f.err = fn(fctx)
 			g.mu.Lock()
-			delete(g.m, k)
+			// An abandoned flight was already removed, and k may now name
+			// a newer flight, which is not this producer's to retire.
+			if g.m[k] == f {
+				delete(g.m, k)
+			}
 			g.mu.Unlock()
 			cancel()
 			close(f.done)
@@ -75,6 +79,12 @@ func (g *Group) Do(req context.Context, k Key, fn func(ctx context.Context) ([]b
 		g.mu.Lock()
 		f.waiters--
 		abandoned := f.waiters == 0
+		if abandoned && g.m[k] == f {
+			// Nobody may join a flight whose producer is being canceled:
+			// a caller arriving before the producer returns leads a new
+			// flight instead of receiving the cancellation error.
+			delete(g.m, k)
+		}
 		g.mu.Unlock()
 		if abandoned {
 			// Last interested caller left: stop the producer. The flight's
@@ -97,7 +107,9 @@ func (g *Group) Waiters(k Key) int {
 	return 0
 }
 
-// InFlight returns the number of keys currently being produced.
+// InFlight returns the number of keys with a joinable flight. A producer
+// whose last waiter left is no longer counted, though it may still be
+// winding down.
 func (g *Group) InFlight() int {
 	g.mu.Lock()
 	defer g.mu.Unlock()

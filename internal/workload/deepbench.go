@@ -104,7 +104,7 @@ const (
 )
 
 // Gemm streams the uops of a blocked sgemm micro-kernel; it implements
-// trace.Reader and never ends (wrap with trace.Limit).
+// trace.BatchReader and never ends (wrap with trace.Limit).
 type Gemm struct {
 	style CodeStyle
 	cfg   GemmConfig
@@ -195,31 +195,57 @@ func noSrcG() [3]uint64 {
 	return [3]uint64{trace.NoProducer, trace.NoProducer, trace.NoProducer}
 }
 
+// blank resets *u to a uop at pc with no source operands. It zeroes *u in
+// place: assigning a composite literal through a pointer builds the uop in
+// a temporary and copies all of it.
+func blank(u *trace.Uop, pc uint64) {
+	*u = trace.Uop{}
+	u.PC = pc
+	u.Src = noSrcG()
+}
+
 // Next implements trace.Reader.
 func (g *Gemm) Next() (trace.Uop, bool) {
-	u := g.gen()
+	var u trace.Uop
+	g.gen(&u)
 	u.Seq = g.seq
 	g.seq++
 	return u, true
 }
 
+// ReadBatch implements trace.BatchReader: each uop is generated in place in
+// dst, so no uop is copied on its way out. The stream is bit-identical to
+// repeated Next calls, and the kernel never ends, so a full batch is always
+// delivered.
+func (g *Gemm) ReadBatch(dst []trace.Uop) int {
+	for i := range dst {
+		g.gen(&dst[i])
+		dst[i].Seq = g.seq
+		g.seq++
+	}
+	return len(dst)
+}
+
 // Err implements trace.ErrReader: a synthetic kernel cannot fail.
 func (g *Gemm) Err() error { return nil }
 
-// gen produces one uop of the kernel's steady-state loop.
-func (g *Gemm) gen() trace.Uop {
+// gen writes one uop of the kernel's steady-state loop into u, all but its
+// Seq, which the caller assigns.
+func (g *Gemm) gen(u *trace.Uop) {
 	if g.barrierN > 0 {
 		g.barrier--
 		if g.barrier <= 0 {
 			g.barrier = g.barrierN
-			return trace.Uop{PC: g.pcBase - 8, Op: trace.OpBarrier, Src: noSrcG()}
+			blank(u, g.pcBase-8)
+			u.Op = trace.OpBarrier
+			return
 		}
 	}
 	switch g.style {
 	case StyleKNL:
-		return g.genKNL()
+		g.genKNL(u)
 	default:
-		return g.genSKX()
+		g.genSKX(u)
 	}
 }
 
@@ -249,9 +275,9 @@ func (g *Gemm) maskFor() uint8 {
 //
 // Every FMA consumes the B load issued immediately before it — the
 // FMA-with-memory-operand split.
-func (g *Gemm) genKNL() trace.Uop {
+func (g *Gemm) genKNL(u *trace.Uop) {
 	body := 2 + 2*g.accs + 2
-	u := trace.Uop{PC: g.nextPC(body), Src: noSrcG()}
+	blank(u, g.nextPC(body))
 	switch {
 	case g.phase == 0: // load A element
 		u.Op = trace.OpLoad
@@ -295,7 +321,6 @@ func (g *Gemm) genKNL() trace.Uop {
 		g.phase = 0
 		g.stepK()
 	}
-	return u
 }
 
 // genSKX emits the SKX recipe per k-step:
@@ -304,9 +329,9 @@ func (g *Gemm) genKNL() trace.Uop {
 //
 // FMAs consume registers: they depend on the broadcast (and the two B-line
 // loads), not on a per-FMA memory operand.
-func (g *Gemm) genSKX() trace.Uop {
+func (g *Gemm) genSKX(u *trace.Uop) {
 	body := 4 + g.accs + 5
-	u := trace.Uop{PC: g.nextPC(body), Src: noSrcG()}
+	blank(u, g.nextPC(body))
 	switch {
 	case g.phase == 0:
 		u.Op = trace.OpLoad
@@ -351,7 +376,6 @@ func (g *Gemm) genSKX() trace.Uop {
 		g.phase = 0
 		g.stepK()
 	}
-	return u
 }
 
 func (g *Gemm) maskForAcc(acc int) uint8 {
@@ -432,7 +456,7 @@ func ConvTrain() []ConvConfig {
 }
 
 // Conv streams the uops of a direct-convolution micro-kernel (im2col-style
-// inner loops); it implements trace.Reader.
+// inner loops); it implements trace.BatchReader and never ends.
 type Conv struct {
 	style CodeStyle
 	cfg   ConvConfig
@@ -531,26 +555,42 @@ func (c *Conv) Name() string {
 
 // Next implements trace.Reader.
 func (c *Conv) Next() (trace.Uop, bool) {
-	u := c.gen()
+	var u trace.Uop
+	c.gen(&u)
 	u.Seq = c.seq
 	c.seq++
 	return u, true
 }
 
+// ReadBatch implements trace.BatchReader, generating each uop in place in
+// dst as Gemm.ReadBatch does; the stream is bit-identical to repeated Next
+// calls.
+func (c *Conv) ReadBatch(dst []trace.Uop) int {
+	for i := range dst {
+		c.gen(&dst[i])
+		dst[i].Seq = c.seq
+		c.seq++
+	}
+	return len(dst)
+}
+
 // Err implements trace.ErrReader: a synthetic kernel cannot fail.
 func (c *Conv) Err() error { return nil }
 
-func (c *Conv) gen() trace.Uop {
+// gen writes one uop into u, all but its Seq, which the caller assigns.
+func (c *Conv) gen(u *trace.Uop) {
 	if c.barrierN > 0 {
 		c.barrier--
 		if c.barrier <= 0 {
 			c.barrier = c.barrierN
-			return trace.Uop{PC: c.pcBase - 8, Op: trace.OpBarrier, Src: noSrcG()}
+			blank(u, c.pcBase-8)
+			u.Op = trace.OpBarrier
+			return
 		}
 	}
 	// Long scalar packing stretch between FMA phases.
 	if c.packing {
-		u := trace.Uop{PC: c.pcBase + 0x800 + uint64(c.packPos%64)*4, Src: noSrcG()}
+		blank(u, c.pcBase+0x800+uint64(c.packPos%64)*4)
 		switch c.packPos % 4 {
 		case 0:
 			u.Op = trace.OpLoad
@@ -571,13 +611,13 @@ func (c *Conv) gen() trace.Uop {
 			c.packing = false
 			c.packPos = 0
 		}
-		return u
+		return
 	}
 
 	// Interleave scalar overhead blocks with FMA groups: one overhead block
 	// per inner-loop iteration of the FMA core.
 	if c.ohPos < c.ohLen {
-		u := trace.Uop{PC: c.pcBase + uint64(c.ohPos)*4, Src: noSrcG()}
+		blank(u, c.pcBase+uint64(c.ohPos)*4)
 		switch r := c.ohPos % 8; {
 		case r == 2:
 			// Index load (offset tables / pointers).
@@ -599,13 +639,13 @@ func (c *Conv) gen() trace.Uop {
 			}
 		}
 		c.ohPos++
-		return u
+		return
 	}
 	// One uop of the FMA core, then back to overhead once a k-step wraps.
 	// The inner generator's sequence counter is pinned to the outer one so
 	// its producer references stay valid in the interleaved stream.
 	c.inner.seq = c.seq
-	u, _ := c.inner.Next()
+	c.inner.gen(u)
 	if c.inner.phase == 0 { // the inner generator wrapped a k-step
 		c.ohPos = 0
 		c.groups++
@@ -613,5 +653,4 @@ func (c *Conv) gen() trace.Uop {
 			c.packing = true
 		}
 	}
-	return u
 }
