@@ -239,7 +239,7 @@ func (c *Cache) Access(req Request) Result {
 	// state: the line is installed at allocation time for bookkeeping, but
 	// its data only arrives at the fill time, so accesses before that are
 	// secondary misses that merge with the outstanding MSHR.
-	if fillAt, ok := c.mshrs.find(req.Line); ok && fillAt > req.At {
+	if fillAt, ok := c.mshrs.inflight(req.Line, req.At); ok {
 		c.recordMiss(req)
 		if !req.Prefetch {
 			c.Stats.PrefetchHits++ // merged into an outstanding fill

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -368,5 +369,38 @@ func TestL3RetainsLinesAcrossL2Evictions(t *testing.T) {
 	r = l2.Access(Request{Line: 42, At: 100000})
 	if r.MissLevels != 1 {
 		t.Fatalf("re-access MissLevels = %d, want 1 (L3 hit)", r.MissLevels)
+	}
+}
+
+// TestMSHRInflightMatchesScan: inflight, which skips the scan once every
+// fill is done, agrees with a full scan over random inserts, expiries,
+// recycled entries of an unbounded pool and resets.
+func TestMSHRInflightMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, capacity := range []int{0, 1, 4, 16} {
+		p := newMSHRPool(capacity)
+		now := int64(0)
+		for op := 0; op < 20000; op++ {
+			now += int64(rng.Intn(8))
+			switch r := rng.Intn(100); {
+			case r < 40:
+				start, _ := p.allocTime(now)
+				p.insert(uint64(rng.Intn(96)), start+1+int64(rng.Intn(300)))
+			case r < 45:
+				p.expire(now + int64(rng.Intn(50)))
+			case r == 45:
+				p.reset()
+			}
+			for i := 0; i < 4; i++ {
+				line, at := uint64(rng.Intn(96)), now+int64(rng.Intn(400))-50
+				want, wantOK := p.find(line)
+				wantOK = wantOK && want > at
+				got, ok := p.inflight(line, at)
+				if ok != wantOK || (ok && got != want) {
+					t.Fatalf("cap %d op %d: inflight(%d, %d) = %d, %v; scan gives %d, %v",
+						capacity, op, line, at, got, ok, want, wantOK)
+				}
+			}
+		}
 	}
 }

@@ -12,6 +12,9 @@ type mshrPool struct {
 	valid   []bool
 	inUse   int
 	scanPos int
+	// lastFill bounds every entry's fill time from above: no entry is
+	// outstanding at or after it.
+	lastFill int64
 }
 
 func newMSHRPool(capacity int) mshrPool {
@@ -33,10 +36,14 @@ func (p *mshrPool) reset() {
 	}
 	p.inUse = 0
 	p.scanPos = 0
+	p.lastFill = 0
 }
 
 // expire frees entries whose fills completed at or before now.
 func (p *mshrPool) expire(now int64) {
+	if p.inUse == 0 {
+		return
+	}
 	for i := range p.valid {
 		if p.valid[i] && p.fillAt[i] <= now {
 			p.valid[i] = false
@@ -45,7 +52,18 @@ func (p *mshrPool) expire(now int64) {
 	}
 }
 
-// find returns the fill time of an outstanding miss for line, if any.
+// inflight returns the fill time of line's entry if that fill completes
+// after now. Once every fill is done by now there is nothing to scan.
+func (p *mshrPool) inflight(line uint64, now int64) (int64, bool) {
+	if p.lastFill <= now {
+		return 0, false
+	}
+	fillAt, ok := p.find(line)
+	return fillAt, ok && fillAt > now
+}
+
+// find returns the fill time of the valid entry for line, completed or not,
+// if any.
 func (p *mshrPool) find(line uint64) (int64, bool) {
 	for i := range p.valid {
 		if p.valid[i] && p.lines[i] == line {
@@ -80,6 +98,7 @@ func (p *mshrPool) allocTime(now int64) (start int64, waited int64) {
 // find a legal start so a slot is free (or the pool is unbounded, in which
 // case the oldest tracked entry may be recycled).
 func (p *mshrPool) insert(line uint64, fillAt int64) {
+	p.lastFill = max(p.lastFill, fillAt)
 	// Prefer an invalid slot.
 	for n := 0; n < len(p.valid); n++ {
 		i := (p.scanPos + n) % len(p.valid)

@@ -127,13 +127,13 @@ func BenchmarkResolveSensitivity(b *testing.B) {
 	b.Run("cold", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := (&Server{}).resolveSensitivity(req); err != nil {
+			if _, err := memoServer("").resolveSensitivity(req); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("memo", func(b *testing.B) {
-		s := &Server{}
+		s := memoServer("")
 		if _, err := s.resolveSensitivity(req); err != nil {
 			b.Fatal(err)
 		}

@@ -19,11 +19,14 @@ import (
 // any input: no panic, every error wraps sim.ErrBadValue (the handler's 400
 // class), and a request that resolves keys the same after a JSON round
 // trip, so the cache key depends on what the request means, not on how its
-// bytes were spelled.
+// bytes were spelled. Each accepted body resolves twice through the request
+// memo, memoized in between as a cache hit would, and both resolutions
+// match one that bypasses the memo; a rejected or trace_path body is never
+// held.
 func FuzzSimulateRequest(f *testing.F) {
 	dir := f.TempDir()
 	writeFuzzTrace(f, filepath.Join(dir, "mcf.trace"))
-	s := &Server{traceDir: dir}
+	s := memoServer(dir)
 	for _, seed := range []string{
 		`{"machine":"BDW","workload":{"profile":"mcf","uops":5000}}`,
 		`{"workload":{"profile":"gcc-1","uops":1},"stacks":["cpi","flops","memdepth","structural","fetch"]}`,
@@ -42,15 +45,41 @@ func FuzzSimulateRequest(f *testing.F) {
 		f.Add([]byte(seed))
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
-		req, err := parseRequest(bytes.NewReader(body))
+		wasHeld := heldRequest(s, string(body)) // the fuzzer repeats bodies
+		p, memoizable, err := s.resolveBody(body, nil)
 		if err != nil {
 			badValue(t, err)
+			if heldRequest(s, string(body)) {
+				t.Fatalf("rejected body %s is memoized", body)
+			}
 			return
 		}
-		p, err := s.resolve(req)
+		if memoizable {
+			s.memoizeRequest(body, p) // as a cache hit does
+		}
+		hit, memoizableAgain, err := s.resolveBody(body, nil)
+		if err != nil || memoizableAgain {
+			t.Fatalf("second resolution of %s: memoizable %v, %v", body, memoizableAgain, err)
+		}
+		req, err := parseRequest(bytes.NewReader(body))
 		if err != nil {
-			badValue(t, err)
-			return
+			t.Fatalf("resolved body %s does not parse: %v", body, err)
+		}
+		fresh, err := s.resolve(req)
+		if err != nil {
+			t.Fatalf("uncached resolution of %s: %v", body, err)
+		}
+		generator := req.TracePath == ""
+		if memoizable != (generator && !wasHeld) || heldRequest(s, string(body)) != generator {
+			t.Fatalf("body %s: memoizable %v, held %v", body, memoizable, heldRequest(s, string(body)))
+		}
+		if generator && hit != p {
+			t.Fatalf("second resolution of %s missed the request memo", body)
+		}
+		for _, q := range []*plan{p, hit} {
+			if q.key != fresh.key || !samePlan(q, fresh) {
+				t.Fatalf("memoized resolution of %s differs from an uncached one", body)
+			}
 		}
 		again, err := json.Marshal(req)
 		if err != nil {
@@ -76,7 +105,7 @@ func FuzzSimulateRequest(f *testing.F) {
 // Each accepted request resolves twice, the second time from the plan
 // memo, and both resolutions match one that bypasses the memo.
 func FuzzSensitivityRequest(f *testing.F) {
-	s := &Server{}
+	s := memoServer("")
 	for _, seed := range []string{
 		`{"machine":"BDW","workload":{"profile":"mcf","uops":100000}}`,
 		`{"machine":"SKX","workload":{"profile":"gcc-1","uops":5000},"scheme":"simple","warmup":100,"params":["rob","l2"],"variants":[0.25,0.5,2,4],"no_endpoints":true,"recompute":true}`,

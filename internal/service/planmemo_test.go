@@ -19,7 +19,13 @@ import (
 func memoState(s *Server) (entries, cells int) {
 	s.plans.mu.Lock()
 	defer s.plans.mu.Unlock()
-	return len(s.plans.entries), s.plans.cells
+	return len(s.plans.entries), s.plans.cost
+}
+
+// memoServer is a Server with its memos and no pool or cache, for
+// resolving requests.
+func memoServer(traceDir string) *Server {
+	return &Server{traceDir: traceDir, plans: newPlanMemo(), requests: newRequestMemo()}
 }
 
 // smallRequest is a 4-cell plan: rob_size at x0.5, x2 and inf over mcf.
@@ -53,7 +59,7 @@ func mustResolve(t *testing.T, s *Server, req *SensitivityRequest) *sensPlan {
 // first resolution derived, and Recompute (how the plan runs, not what it
 // is) shares the entry while staying per request.
 func TestPlanMemoSharesRepeats(t *testing.T) {
-	s := &Server{}
+	s := memoServer("")
 	first := mustResolve(t, s, smallRequest(3000))
 	again := mustResolve(t, s, smallRequest(3000))
 	if again.plan != first.plan || again.key != first.key {
@@ -118,7 +124,7 @@ func TestPlanMemoKeyCoversEveryField(t *testing.T) {
 		}
 	}
 
-	s := &Server{}
+	s := memoServer("")
 	base := mustResolve(t, s, smallRequest(3000))
 	seen := map[resultcache.Key]string{base.key: "base"}
 	want := 1
@@ -179,14 +185,15 @@ func memoKey(i int) resultcache.Key { return resultcache.KeyOf([]byte(fmt.Sprint
 // TestPlanMemoEvictsOldest: past planMemoCells the oldest entries go first,
 // and the cells held never exceed the bound.
 func TestPlanMemoEvictsOldest(t *testing.T) {
-	var m planMemo
-	m.put(memoKey(0), sizedPlan(sensitivity.MaxCells))
-	m.put(memoKey(1), sizedPlan(sensitivity.MaxCells))
-	if _, ok := m.get(memoKey(0)); !ok || m.cells != planMemoCells {
-		t.Fatalf("two largest plans do not fit: %d cells held", m.cells)
+	m := newPlanMemo()
+	put := func(i, cells int) { m.put(memoKey(i), sizedPlan(cells), cells) }
+	put(0, sensitivity.MaxCells)
+	put(1, sensitivity.MaxCells)
+	if _, ok := m.get(memoKey(0)); !ok || m.cost != planMemoCells {
+		t.Fatalf("two largest plans do not fit: %d cells held", m.cost)
 	}
-	m.put(memoKey(2), sizedPlan(1))
-	m.put(memoKey(3), sizedPlan(sensitivity.MaxCells))
+	put(2, 1)
+	put(3, sensitivity.MaxCells)
 	for i, held := range []bool{false, false, true, true} {
 		if _, ok := m.get(memoKey(i)); ok != held {
 			t.Fatalf("entry %d held = %v, want %v", i, ok, held)
@@ -195,14 +202,14 @@ func TestPlanMemoEvictsOldest(t *testing.T) {
 
 	// Random sizes: the held entries are always the newest, their cells
 	// are the memo's count, and the count stays within the bound.
-	m = planMemo{}
+	m = newPlanMemo()
 	rng := rand.New(rand.NewSource(1))
 	sizes := make([]int, 400)
 	for i := range sizes {
 		sizes[i] = 1 + rng.Intn(sensitivity.MaxCells/4)
-		m.put(memoKey(i), sizedPlan(sizes[i]))
-		if m.cells > planMemoCells {
-			t.Fatalf("after %d puts the memo holds %d cells, bound %d", i+1, m.cells, planMemoCells)
+		put(i, sizes[i])
+		if m.cost > planMemoCells {
+			t.Fatalf("after %d puts the memo holds %d cells, bound %d", i+1, m.cost, planMemoCells)
 		}
 		total, oldest := 0, i+1
 		for j := i; j >= 0; j-- {
@@ -212,14 +219,14 @@ func TestPlanMemoEvictsOldest(t *testing.T) {
 			total += sizes[j]
 			oldest = j
 		}
-		if total != m.cells || len(m.entries) != i+1-oldest || len(m.order) != len(m.entries) {
+		if total != m.cost || len(m.entries) != i+1-oldest || len(m.order) != len(m.entries) {
 			t.Fatalf("after %d puts: newest %d entries hold %d cells, memo has %d entries / %d cells",
-				i+1, i+1-oldest, total, len(m.entries), m.cells)
+				i+1, i+1-oldest, total, len(m.entries), m.cost)
 		}
 	}
 
 	// Real plans: 79-cell default plans past the bound evict the first.
-	s := &Server{}
+	s := memoServer("")
 	first := mustResolve(t, s, &SensitivityRequest{Workload: &WorkloadSpec{Profile: "mcf", Uops: 1000}})
 	for i := 1; i <= planMemoCells/cap(first.plan.Cells); i++ {
 		mustResolve(t, s, &SensitivityRequest{Workload: &WorkloadSpec{Profile: "mcf", Uops: uint64(1000 + i)}})
@@ -236,7 +243,7 @@ func TestPlanMemoEvictsOldest(t *testing.T) {
 // TestPlanMemoConcurrent: identical and distinct requests resolved from
 // many goroutines at once all get their own plan's key (run under -race).
 func TestPlanMemoConcurrent(t *testing.T) {
-	s := &Server{}
+	s := memoServer("")
 	const distinct = 4
 	want := make([]resultcache.Key, distinct)
 	for i := range want {

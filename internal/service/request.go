@@ -13,9 +13,11 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 
 	"perfstacks/internal/config"
+	"perfstacks/internal/invariant"
 	"perfstacks/internal/resultcache"
 	"perfstacks/internal/sim"
 	"perfstacks/internal/trace"
@@ -132,6 +134,68 @@ func parseRequest(body io.Reader) (*Request, error) {
 		return nil, fmt.Errorf("%w: trailing data after request object", sim.ErrBadValue)
 	}
 	return &req, nil
+}
+
+// resolveBody resolves the bytes of a simulate body to its plan. A body
+// held in the request memo skips decoding and key derivation. memoizable
+// reports whether the plan may enter the memo once its result is found
+// cached: only a generator-workload body read in full and not already held.
+// A trace_path body never may, because its key binds file bytes that can
+// change. readErr is the error that cut the body short, if any.
+func (s *Server) resolveBody(body []byte, readErr error) (p *plan, memoizable bool, err error) {
+	src := io.Reader(bytes.NewReader(body))
+	if readErr != nil {
+		// Replay the bytes read and then the error through the decoder, so
+		// an oversized or broken body fails as it does when decoded from
+		// the stream.
+		src = io.MultiReader(src, errReader{readErr})
+	} else if held, ok := s.requests.get(string(body)); ok {
+		if invariant.Enabled {
+			s.checkRequestHit(body, held)
+		}
+		return held, false, nil
+	}
+	req, err := parseRequest(src)
+	if err != nil {
+		return nil, false, err
+	}
+	if p, err = s.resolve(req); err != nil {
+		return nil, false, err
+	}
+	return p, readErr == nil && req.TracePath == "", nil
+}
+
+// memoizeRequest records that body resolves to p. From here on p is shared
+// by every request that sends these bytes, so nothing writes it.
+func (s *Server) memoizeRequest(body []byte, p *plan) {
+	s.requests.put(string(body), p, len(body)+requestPlanBytes)
+}
+
+// errReader fails every read with err.
+type errReader struct{ err error }
+
+func (r errReader) Read([]byte) (int, error) { return 0, r.err }
+
+// checkRequestHit re-decodes and re-resolves a request-memo hit without the
+// memo and panics unless it matches: a mismatch is a shared plan written
+// after resolve returned, or a resolution that depends on more than the
+// body bytes.
+func (s *Server) checkRequestHit(body []byte, p *plan) {
+	req, err := parseRequest(bytes.NewReader(body))
+	invariant.Assertf(err == nil, "request memo: memoized body no longer decodes: %v", err)
+	fresh, err := s.resolve(req)
+	invariant.Assertf(err == nil, "request memo: memoized body no longer resolves: %v", err)
+	invariant.Assertf(fresh.key == p.key, "request memo: plan key %s, fresh resolution %s", p.key, fresh.key)
+	invariant.Assertf(samePlan(fresh, p), "request memo: memoized plan %s differs from a fresh resolution", p.key)
+}
+
+// samePlan reports whether a and b agree in every field but the reader
+// constructors, closures that cannot be compared.
+func samePlan(a, b *plan) bool {
+	x, y := *a, *b
+	x.mkReader, x.mkSMP = nil, nil
+	y.mkReader, y.mkSMP = nil, nil
+	return reflect.DeepEqual(x, y)
 }
 
 // resolve turns a Request into an executable plan, deriving the cache key

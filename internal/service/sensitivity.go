@@ -99,7 +99,7 @@ func (s *Server) resolveSensitivity(req *SensitivityRequest) (*sensPlan, error) 
 		return nil, err
 	}
 	if memoizable {
-		s.plans.put(mk, rp)
+		s.plans.put(mk, rp, cap(rp.plan.Cells))
 	}
 	return &sensPlan{resolvedPlan: rp, recompute: req.Recompute}, nil
 }

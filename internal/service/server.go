@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"net/http/pprof"
@@ -45,7 +46,7 @@ type Config struct {
 // Server is the simd request-processing core, independent of any listener.
 // The flow for a simulate request:
 //
-//	parse → canonical key → cache lookup → singleflight → bounded pool → sim
+//	body bytes → (request memo | parse → canonical key) → cache lookup → singleflight → bounded pool → sim
 //
 // Deduplication sits in front of admission deliberately: a thundering herd
 // of identical requests occupies one queue slot, so saturation sheds only
@@ -59,7 +60,8 @@ type Server struct {
 	metrics  *metrics
 	logf     func(format string, args ...any)
 	workers  int
-	plans    planMemo // resolved sensitivity plans by request
+	plans    planMemo    // resolved sensitivity plans by request
+	requests requestMemo // resolved simulate plans by body bytes
 
 	// runSim is the simulation entry point; tests swap it to count and
 	// block simulations without burning CPU. runSMP is its gang-request
@@ -93,6 +95,8 @@ func New(base context.Context, cfg Config) (*Server, error) {
 		metrics:  newMetrics(),
 		logf:     logger.Printf,
 		workers:  runner.Workers(cfg.Workers),
+		plans:    newPlanMemo(),
+		requests: newRequestMemo(),
 		runSim:   sim.Run,
 		runSMP:   sim.RunSMP,
 	}
@@ -157,18 +161,19 @@ const statusClientClosed = 499
 // resolved to (the response, including errors, is already written).
 func (s *Server) simulate(w http.ResponseWriter, r *http.Request) (int, error) {
 	r.Body = http.MaxBytesReader(w, r.Body, maxRequestBytes)
-	req, err := parseRequest(r.Body)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return http.StatusBadRequest, err
-	}
-	p, err := s.resolve(req)
+	body, readErr := io.ReadAll(r.Body)
+	p, memoizable, err := s.resolveBody(body, readErr)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return http.StatusBadRequest, err
 	}
 
 	if payload, ok := s.cache.Get(p.key); ok {
+		// Only a body whose result is cached enters the memo, so a run
+		// of fresh keys never churns it.
+		if memoizable {
+			s.memoizeRequest(body, p)
+		}
 		s.writeResult(w, p.key, payload, "hit")
 		return http.StatusOK, nil
 	}

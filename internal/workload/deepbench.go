@@ -110,7 +110,6 @@ type Gemm struct {
 	cfg   GemmConfig
 	lanes int
 	accs  int // accumulator registers (independent FMA chains)
-	rng   splitmix64
 	seq   uint64
 
 	// Per-k-step state machine.
@@ -140,6 +139,9 @@ type Gemm struct {
 // NewGemm builds a GEMM kernel trace generator. lanes is the machine vector
 // width (16 for AVX-512); barrierEvery inserts a synchronization barrier
 // every N uops (0 = never), modeling the OpenMP tile loop for SMP runs.
+// seed is unused: a GEMM stream is a fixed function of the style, config,
+// lanes and barrier interval, with no random draws. The parameter is kept
+// so existing callers compile unchanged.
 func NewGemm(style CodeStyle, cfg GemmConfig, lanes int, seed uint64, barrierEvery int) *Gemm {
 	// Accumulator count: the KNL JIT uses deep accumulator files so the
 	// FMA chain latency never binds (leaving the per-FMA memory operand as
@@ -171,7 +173,6 @@ func NewGemm(style CodeStyle, cfg GemmConfig, lanes int, seed uint64, barrierEve
 		cfg:      cfg,
 		lanes:    lanes,
 		accs:     accs,
-		rng:      newRNG(seed ^ 0x6e33),
 		kLeft:    cfg.K,
 		aFoot:    aFoot,
 		bFoot:    bFoot,
@@ -258,15 +259,6 @@ func (g *Gemm) nextPC(bodyLen int) uint64 {
 		g.pc = 0
 	}
 	return pc
-}
-
-// maskFor returns the masked-off lanes for the current accumulator group:
-// only the remainder group (last accumulator) is masked.
-func (g *Gemm) maskFor() uint8 {
-	if g.masked != 0 && g.accIdx == g.accs-1 {
-		return g.masked
-	}
-	return 0
 }
 
 // genKNL emits the KNL-JIT recipe per k-step:
@@ -490,7 +482,8 @@ type Conv struct {
 	barrierN int
 }
 
-// NewConv builds a convolution kernel trace generator.
+// NewConv builds a convolution kernel trace generator. seed drives the
+// overhead index loads, the only random draws of either DeepBench kernel.
 func NewConv(style CodeStyle, cfg ConvConfig, phase ConvPhase, lanes int, seed uint64, barrierEvery int) *Conv {
 	// The FMA core behaves like a small GEMM with K = C*R*S (the im2col
 	// contraction length) and N = output pixels.
@@ -499,7 +492,7 @@ func NewConv(style CodeStyle, cfg ConvConfig, phase ConvPhase, lanes int, seed u
 		M:    cfg.K,
 		N:    cfg.W * cfg.H / (cfg.Stride * cfg.Stride),
 		K:    cfg.C * cfg.R * cfg.S,
-	}, lanes, seed^0xc04, 0)
+	}, lanes, 0, 0)
 
 	// Scalar overhead per FMA group grows when the contraction is short
 	// (small C*R*S means relatively more index arithmetic), and the
