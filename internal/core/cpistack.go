@@ -22,6 +22,10 @@ const (
 	// increments are tagged to the uop being processed and folded into the
 	// global counters at commit, or into the branch component on squash.
 	WrongPathSpeculative
+
+	// numWrongPathSchemes bounds the set for tests; add new schemes above
+	// it.
+	numWrongPathSchemes
 )
 
 // String names the scheme.

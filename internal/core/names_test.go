@@ -15,17 +15,19 @@ func TestEnumNamesDistinctAndNonFallback(t *testing.T) {
 	}{
 		{"Component", "Comp?", int(NumComponents),
 			func(i int) string { return Component(i).String() }},
-		{"FECause", "fe?", int(FEDrained) + 1,
+		{"FECause", "fe?", int(numFECauses),
 			func(i int) string { return FECause(i).String() }},
 		{"FLOPSComponent", "FComp?", int(NumFLOPSComponents),
 			func(i int) string { return FLOPSComponent(i).String() }},
 		{"StructuralCause", "struct?", int(NumStructuralCauses),
 			func(i int) string { return StructuralCause(i).String() }},
-		{"ProdClass", "prod?", int(ProdDepend) + 1,
+		{"ProdClass", "prod?", int(numProdClasses),
 			func(i int) string { return ProdClass(i).String() }},
+		{"Stage", "stage?", int(StageFetch) + 1,
+			func(i int) string { return Stage(i).String() }},
 		{"MemLevel", "mem?", int(NumMemLevels),
 			func(i int) string { return MemLevel(i).String() }},
-		{"WrongPathScheme", "scheme?", int(WrongPathSpeculative) + 1,
+		{"WrongPathScheme", "scheme?", int(numWrongPathSchemes),
 			func(i int) string { return WrongPathScheme(i).String() }},
 	}
 	for _, c := range cases {

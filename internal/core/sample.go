@@ -19,6 +19,9 @@ const (
 	FEUnsched
 	// FEDrained: the trace ended; the pipeline is draining.
 	FEDrained
+
+	// numFECauses bounds the set for tests; add new causes above it.
+	numFECauses
 )
 
 // String returns a short cause name.
@@ -76,6 +79,9 @@ const (
 	// ProdDepend: the blamed instruction is single-cycle; the stall is due
 	// to the dependence chain itself.
 	ProdDepend
+
+	// numProdClasses bounds the set for tests; add new classes above it.
+	numProdClasses
 )
 
 // String returns a short class name.

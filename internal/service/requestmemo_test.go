@@ -354,9 +354,10 @@ func TestSamePlanComparesEveryField(t *testing.T) {
 	}
 }
 
-// TestOversizedBodyMessage: a body past maxRequestBytes gets the status and
+// TestOversizedBodyMessage: a body past maxRequestBytes gets a 400 with the
 // message of decoding it from the stream, as before the body was read
-// whole, and never enters the memo.
+// whole, and never enters the memo. That holds for a complete object
+// followed by whitespace past the bound too.
 func TestOversizedBodyMessage(t *testing.T) {
 	s, ts := newTestServer(t, Config{}, func(s *Server) {
 		s.runSim = func(m config.Machine, tr trace.Reader, opts sim.Options) sim.Result {
@@ -367,19 +368,16 @@ func TestOversizedBodyMessage(t *testing.T) {
 	for name, body := range map[string]string{
 		"long string":         `{"machine":"` + strings.Repeat("A", maxRequestBytes),
 		"early syntax error":  `{"machine":?` + pad,
-		"trailing whitespace": simulateBody(t, "") + pad, // the decoder stops at the object's end
+		"trailing whitespace": simulateBody(t, "") + pad,
 	} {
 		t.Run(name, func(t *testing.T) {
 			_, ref := parseRequest(http.MaxBytesReader(nil, io.NopCloser(strings.NewReader(body)), maxRequestBytes))
+			if ref == nil {
+				t.Fatal("the stream decoder accepted an oversized body")
+			}
 			for i := 0; i < 2; i++ {
 				resp := post(t, ts, body)
 				b := readAll(t, resp)
-				if ref == nil {
-					if resp.StatusCode != http.StatusOK {
-						t.Fatalf("status %d, want 200 as the stream decoder accepts it: %s", resp.StatusCode, b)
-					}
-					continue
-				}
 				var e struct {
 					Error string `json:"error"`
 				}

@@ -67,14 +67,9 @@ type sensPlan struct {
 
 // parseSensitivityRequest decodes and strictly validates a request body.
 func parseSensitivityRequest(body io.Reader) (*SensitivityRequest, error) {
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
 	var req SensitivityRequest
-	if err := dec.Decode(&req); err != nil {
-		return nil, fmt.Errorf("%w: decoding request: %v", sim.ErrBadValue, err)
-	}
-	if dec.More() {
-		return nil, fmt.Errorf("%w: trailing data after request object", sim.ErrBadValue)
+	if err := decodeBody(body, &req); err != nil {
+		return nil, err
 	}
 	return &req, nil
 }

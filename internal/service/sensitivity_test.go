@@ -121,6 +121,8 @@ func TestSensitivityValidation(t *testing.T) {
 		{"zero uops", `{"machine":"BDW","workload":{"profile":"mcf","uops":0}}`, "uops"},
 		{"unknown param", `{"machine":"BDW","workload":{"profile":"mcf","uops":10},"params":["warp_drive"]}`, "warp_drive"},
 		{"bad variant", `{"machine":"BDW","workload":{"profile":"mcf","uops":10},"variants":[1]}`, "variant"},
+		{"trailing object", sensitivityBody("") + `{}`, "trailing data"},
+		{"oversized trailing whitespace", sensitivityBody("") + strings.Repeat(" ", maxRequestBytes), "request body too large"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

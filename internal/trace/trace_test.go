@@ -5,11 +5,21 @@ import (
 	"testing/quick"
 )
 
+// TestOpStrings requires every op to render a distinct, non-fallback name:
+// traces and tracegen -inspect report ops by name, and the cpu timing tests
+// walk the op set up to the fallback.
 func TestOpStrings(t *testing.T) {
+	seen := make(map[string]Op, numOps)
 	for op := Op(0); op < numOps; op++ {
-		if op.String() == "op?" {
+		s := op.String()
+		if s == "" || s == "op?" {
 			t.Errorf("op %d has no name", op)
+			continue
 		}
+		if prev, dup := seen[s]; dup {
+			t.Errorf("op %d name %q duplicates op %d", op, s, prev)
+		}
+		seen[s] = op
 	}
 	if Op(200).String() != "op?" {
 		t.Error("out-of-range op should render as op?")
