@@ -84,3 +84,50 @@ func TestSpeculativeCycleZeroAlloc(t *testing.T) {
 		t.Fatalf("PendingPeak = %d, want within (0, 64]", p)
 	}
 }
+
+// TestSpeculativeIdleBatchMatchesPerCycle: a batched idle window leaves the
+// speculative buffer exactly as the same cycles one by one do, with each
+// stage's cycles on the next uop that stage expects. Dispatch runs ahead
+// of issue here (a full ROB behind a missing load), so charging the two
+// stages to one uop shows.
+func TestSpeculativeIdleBatchMatchesPerCycle(t *testing.T) {
+	idle := CycleSample{DispatchYoungest: 12, IssueYoungest: 7, ROBFull: true,
+		ROBHeadClass: ProdDCache, ROBHeadNotDone: true, FirstNonReadyClass: ProdDCache}
+	// buffered totals each uop's entries: the per-cycle path may open a
+	// uop more than one entry when the stages alternate between uops.
+	buffered := func(a *MultiStageAccountant) map[uint64]pendingComp {
+		out := make(map[uint64]pendingComp, len(a.spec.order))
+		for _, r := range a.spec.order {
+			c := out[r.seq]
+			for st := range c {
+				for k := range c[st] {
+					c[st][k] += a.spec.comps[r.slot][st][k]
+				}
+			}
+			out[r.seq] = c
+		}
+		return out
+	}
+	one := NewMultiStageAccountant(Options{Width: 4, Scheme: WrongPathSpeculative})
+	for i := 0; i < 5; i++ {
+		s := idle
+		one.Cycle(&s)
+	}
+	batch := NewMultiStageAccountant(Options{Width: 4, Scheme: WrongPathSpeculative})
+	s := idle
+	s.Repeat = 5
+	batch.Cycle(&s)
+
+	want, got := buffered(one), buffered(batch)
+	if len(got) != len(want) {
+		t.Fatalf("batched idle buffered uops %v, per-cycle %v", got, want)
+	}
+	for seq, c := range want {
+		if got[seq] != c {
+			t.Fatalf("uop %d: batched idle buffered %v, per-cycle %v", seq, got[seq], c)
+		}
+	}
+	if want[13][StageDispatch][CompDCache] != 5 || want[8][StageIssue][CompDCache] != 5 {
+		t.Fatalf("per-cycle buffer %v: want dispatch's 5 cycles on uop 13 and issue's on uop 8", want)
+	}
+}
