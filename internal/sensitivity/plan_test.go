@@ -74,6 +74,30 @@ func TestPlanGeneration(t *testing.T) {
 	}
 }
 
+// TestIdealizeFor: each idealizable component maps to the one knob that
+// removes it, and every other component to the all-real machine.
+func TestIdealizeFor(t *testing.T) {
+	want := map[core.Component]config.Idealize{
+		core.CompBpred:  {PerfectBpred: true},
+		core.CompICache: {PerfectICache: true},
+		core.CompDCache: {PerfectDCache: true},
+		core.CompALULat: {SingleCycleALU: true},
+	}
+	if len(IdealComponents()) != len(want) {
+		t.Fatalf("IdealComponents() = %v, want the %d components with a knob", IdealComponents(), len(want))
+	}
+	for _, c := range IdealComponents() {
+		if _, ok := want[c]; !ok {
+			t.Errorf("IdealComponents lists %v, which has no knob", c)
+		}
+	}
+	for _, c := range core.Components() {
+		if got := IdealizeFor(c); got != want[c] {
+			t.Errorf("IdealizeFor(%v) = %+v, want %+v", c, got, want[c])
+		}
+	}
+}
+
 func TestPlanParamSelection(t *testing.T) {
 	p, err := NewPlan(config.BDW(), mustProfile(t, "mcf"), 10_000, sim.Options{}, PlanOptions{Params: []string{"bpred"}})
 	if err != nil {
