@@ -158,7 +158,7 @@ func (t *Tournament) Lookup(u *trace.Uop) Outcome {
 	// Calls are always taken with a known target; returns consult the RAS;
 	// conditional/indirect branches use the direction predictor + BTB.
 	var out Outcome
-	//simlint:partial only calls (RAS push) and returns (RAS pop) need special handling; the default arm predicts all other branch kinds
+	// only calls (RAS push) and returns (RAS pop) need special handling; the default arm predicts all other branch kinds
 	switch u.Op {
 	case trace.OpCall:
 		t.ras.Push(u.PC + 4)

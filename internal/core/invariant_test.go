@@ -30,16 +30,15 @@ func expectViolation(t *testing.T, want string, fn func()) {
 }
 
 // TestConservationCatchesCorruptedAccumulator is the designed negative test:
-// silently corrupting a stack accumulator — the class of bug the
-// acctencapsulation analyzer forbids statically — must trip the conservation
-// assertion at the next checkpoint.
+// silently corrupting a stack accumulator from outside its accountant must
+// trip the conservation assertion at the next checkpoint.
 func TestConservationCatchesCorruptedAccumulator(t *testing.T) {
 	m := NewMultiStageAccountant(Options{Width: 4})
 	for i := 0; i < 100; i++ {
 		m.Cycle(&CycleSample{DispatchN: 4, IssueN: 4, CommitN: 4})
 	}
-	// A test file may write the accumulator (the analyzer exempts _test.go
-	// exactly so this corruption can be staged).
+	// An internal test can write the accumulator directly to stage the
+	// corruption.
 	m.stages[StageDispatch].comp[CompBase] += 5
 	expectViolation(t, "dispatch stack", func() { m.Finalize(0) })
 }

@@ -82,7 +82,7 @@ func (sp *specState) accountStage(st Stage, acct *stageAcct, s *CycleSample, n, 
 	// youngest uop processed, or (on a dead cycle) the next uop expected.
 	var seq uint64
 	var wrong bool
-	//simlint:partial only dispatch and issue account speculatively; callers never pass the commit or fetch stages
+	// only dispatch and issue account speculatively; callers never pass the commit or fetch stages
 	switch st {
 	case StageDispatch:
 		if s.DispatchN+s.DispatchWrongN > 0 {
@@ -115,7 +115,7 @@ func (sp *specState) accountStage(st Stage, acct *stageAcct, s *CycleSample, n, 
 // exactly; the remainder adds whole cycles to the classified component.
 func (sp *specState) accountStageIdle(st Stage, acct *stageAcct, s *CycleSample, w float64, cls func(*CycleSample) Component, r int64) {
 	var seq uint64
-	//simlint:partial only dispatch and issue account speculatively; callers never pass the commit or fetch stages
+	// only dispatch and issue account speculatively; callers never pass the commit or fetch stages
 	switch st {
 	case StageDispatch:
 		seq = s.DispatchYoungest + 1

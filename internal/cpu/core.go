@@ -753,7 +753,7 @@ func (c *Core) execute(s *core.CycleSample, slot int) {
 	var doneAt int64
 	var miss bool
 	var missDepth uint8
-	//simlint:partial only memory ops touch the hierarchy; every other op completes after its precomputed latency
+	// only memory ops touch the hierarchy; every other op completes after its precomputed latency
 	switch u.Op {
 	case trace.OpLoad:
 		var depth int

@@ -26,9 +26,8 @@ import (
 var ErrInjected = errors.New("injected fault")
 
 // rng is a splitmix64 generator: tiny, seedable and stable across platforms,
-// so injection points depend only on the seed (the determinism analyzer bans
-// math/rand's global state in simulation packages; this package follows the
-// same discipline by construction).
+// so injection points depend only on the seed, never on math/rand's global
+// state.
 type rng struct{ state uint64 }
 
 func (r *rng) next() uint64 {

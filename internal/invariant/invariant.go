@@ -4,10 +4,9 @@
 // The accountants' central correctness property is conservation: at every
 // accounting stage the stack components sum to the elapsed cycles, so a CPI
 // stack is a true decomposition of execution time rather than a collection of
-// heuristic counters. The simlint analyzers prove the static half of that
-// story (exhaustive enum handling, batched-Repeat awareness, single-writer
-// accumulators); this package checks the dynamic half while a simulation
-// runs.
+// heuristic counters. This package checks that property while a simulation
+// runs; the result-digest, enum-name, timing-table and summation-order
+// tests pin the rest of DESIGN §8's contracts.
 //
 // Usage: guard every call with the Enabled constant,
 //

@@ -171,7 +171,7 @@ func IdealComponents() []core.Component {
 // IdealizeFor maps a CPI stack component to the idealization that removes
 // it. Components without a machine knob map to the identity configuration.
 func IdealizeFor(c core.Component) config.Idealize {
-	//simlint:partial only the four components of IdealComponents have a machine knob; the rest map to the identity config
+	// only the four components of IdealComponents have a machine knob; the rest map to the identity config
 	switch c {
 	case core.CompICache:
 		return config.Idealize{PerfectICache: true}
