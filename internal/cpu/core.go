@@ -122,12 +122,17 @@ type Core struct {
 	warmupLeft uint64
 
 	// noSkip disables event-driven idle-window skipping (the debugging
-	// escape hatch behind sim.Options.NoSkip). Skipping is also disabled
-	// automatically while a barrier waiter is installed: SMP harnesses step
-	// cores in lockstep against a shared uncore, and a core that jumps
-	// ahead would interleave its shared-cache accesses out of simulated-time
-	// order with its siblings'.
+	// escape hatch behind sim.Options.NoSkip). Gang cores skip too: an idle
+	// window makes no shared-uncore access, and SMP.Step lets a core sleep
+	// through its window while its siblings step. A yielded core never
+	// skips — only a barrier release ends its wait, and that comes from
+	// outside the core — so each of its cycles is its own Unsched sample.
 	noSkip bool
+
+	// progressAt is, under simdebug, the cycle from which checkProgress
+	// measures the wait for the next commit or yield: the last such cycle,
+	// or the latest completion a hierarchy access set, whichever is later.
+	progressAt int64
 
 	// ctx, when non-nil, lets Run stop cooperatively mid-trace. The check
 	// is periodic (every cancelCheckMask+1 steps) and lives in Run's loop,
@@ -242,6 +247,9 @@ func (c *Core) Step() bool {
 		s.FEEmpty = true
 		c.Stats.BarrierWaits++
 		c.emit(s)
+		if invariant.Enabled {
+			c.checkProgress(s)
+		}
 		c.now++
 		c.Stats.Cycles = c.now
 		return true
@@ -278,6 +286,9 @@ func (c *Core) Step() bool {
 	}
 
 	c.emit(s)
+	if invariant.Enabled {
+		c.checkProgress(s)
+	}
 	c.now++
 	c.Stats.Cycles = c.now
 
@@ -294,7 +305,7 @@ func (c *Core) Step() bool {
 	// delivered nor synthesized uops — then every cycle until the next
 	// pending event is identical to it. Jump the clock there and emit one
 	// batched sample for the window.
-	if !c.noSkip && c.barrierWaiter == nil &&
+	if !c.noSkip && !c.yielded &&
 		s.CommitN == 0 && s.IssueN == 0 && s.IssueWrongN == 0 &&
 		s.DispatchN == 0 && s.DispatchWrongN == 0 && s.FetchN == 0 &&
 		!s.HasSquash && c.fe.qLen == qLen0 {
@@ -765,6 +776,9 @@ func (c *Core) execute(s *core.CycleSample, slot int) {
 			c.rob.flags[slot] |= robDcacheMiss
 		}
 		c.rob.depth[slot] = missDepth
+		if invariant.Enabled {
+			c.progressAt = max(c.progressAt, doneAt)
+		}
 		if !u.WrongPath {
 			c.Stats.Loads++
 		}

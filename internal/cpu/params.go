@@ -174,6 +174,18 @@ func (p Params) MinWidth() int {
 	return w
 }
 
+// progressBound returns how many cycles a correct pipeline may go without
+// a commit or a barrier yield, counted from the last one or from the latest
+// completion of a hierarchy access (a load or an I-cache fill): the ROB
+// size times the longest fixed latency plus a redirect. A head uop waits at
+// most a divider's occupancy to issue and its own latency to complete, so
+// this is generous; it only has to separate a stall from a hang.
+func (p *Params) progressBound() int64 {
+	l := &p.Lat
+	longest := max(l.ALU, l.Mul, l.Div, l.Branch, l.FPAdd, l.FPMul, l.FPDiv, l.FMA, l.VInt, l.Broadcast, l.Store)
+	return int64(p.ROBSize) * (longest + p.MispredictPenalty + 1)
+}
+
 // latency returns the execution latency for op under the configured
 // idealizations.
 func (p *Params) latency(op trace.Op) int64 {

@@ -192,19 +192,6 @@ func NewGemm(style CodeStyle, cfg GemmConfig, lanes int, seed uint64, barrierEve
 // Profile-style label.
 func (g *Gemm) Name() string { return "sgemm-" + g.cfg.Name + "-" + g.style.String() }
 
-func noSrcG() [3]uint64 {
-	return [3]uint64{trace.NoProducer, trace.NoProducer, trace.NoProducer}
-}
-
-// blank resets *u to a uop at pc with no source operands. It zeroes *u in
-// place: assigning a composite literal through a pointer builds the uop in
-// a temporary and copies all of it.
-func blank(u *trace.Uop, pc uint64) {
-	*u = trace.Uop{}
-	u.PC = pc
-	u.Src = noSrcG()
-}
-
 // Next implements trace.Reader.
 func (g *Gemm) Next() (trace.Uop, bool) {
 	var u trace.Uop

@@ -308,6 +308,15 @@ func noSrc() [3]uint64 {
 	return [3]uint64{trace.NoProducer, trace.NoProducer, trace.NoProducer}
 }
 
+// blank resets *u to a uop at pc with no source operands. It zeroes *u in
+// place: assigning a composite literal through a pointer builds the uop in
+// a temporary and copies all of it.
+func blank(u *trace.Uop, pc uint64) {
+	*u = trace.Uop{}
+	u.PC = pc
+	u.Src = noSrc()
+}
+
 // loopTrips returns the trip count for a block (1 = straight-line).
 func (g *Generator) loopTrips(f, b int) int {
 	if !g.blockStatics(f, b).loop {
@@ -323,7 +332,7 @@ func (g *Generator) loopTrips(f, b int) int {
 
 // genBranch emits the block-ending branch and advances control flow.
 func (g *Generator) genBranch(st *blockStatic, f, b int, pc uint64, u *trace.Uop) {
-	*u = trace.Uop{PC: pc, Src: noSrc()}
+	blank(u, pc)
 
 	// Self-loop back-edge while trips remain.
 	if g.tripLeft > 1 {
@@ -396,7 +405,7 @@ func (g *Generator) genBranch(st *blockStatic, f, b int, pc uint64, u *trace.Uop
 // the RNG in exactly the order the unbatched generator did, so the stream is
 // bit-identical regardless of static caching.
 func (g *Generator) genBody(st *uopStatic, pc uint64, u *trace.Uop) {
-	*u = trace.Uop{PC: pc, Src: noSrc()}
+	blank(u, pc)
 	p := &g.p
 
 	switch st.kind {
