@@ -60,8 +60,8 @@ type SMPSpec struct {
 	// Cores is the gang width (2 to maxSMPCores).
 	Cores int `json:"cores"`
 	// Parallel is accepted and ignored, so clients that still send
-	// "parallel":true keep working: gangs always step in sequential
-	// lockstep, and the field never enters the cache key.
+	// "parallel":true keep working: gangs always step sequentially on
+	// one gang clock, and the field never enters the cache key.
 	Parallel bool `json:"parallel,omitempty"`
 	// L3Slices address-hashes the shared L3 into this many slices, each
 	// with its own memory channel (0 or 1 = monolithic, a power of two

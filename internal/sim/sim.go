@@ -277,8 +277,8 @@ func RunSMP(m config.Machine, n int, makeTrace func(tid int) trace.Reader, opts 
 		pred := newPredictor(m)
 		traces[i] = makeTrace(i)
 		c := cpu.New(m.Core, hier, pred, traces[i])
-		// Skipping is implicitly disabled in SMP runs (the barrier waiter
-		// forces lockstep stepping); mirror the option anyway for clarity.
+		// Gang cores skip idle windows on the SMP gang clock unless NoSkip
+		// forces per-cycle lockstep.
 		c.SetNoSkip(opts.NoSkip)
 		if opts.CPI {
 			cpiAccts[i] = core.NewMultiStageAccountant(core.Options{

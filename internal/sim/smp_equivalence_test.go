@@ -13,7 +13,7 @@ import (
 )
 
 // The two tests below keep the names they had when a parallel SMP harness
-// was checked against sequential lockstep. With lockstep the only harness,
+// was checked against sequential stepping. With one harness left,
 // each runs its gang at least twice and requires byte-identical results
 // (the shared L3 slices and memory must not leak state or ordering between
 // runs), then checks the coupling the case exists for.
